@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "FuzzOptions.h"
+#include "ReduceCheck.h"
 #include "trace/BinaryIO.h"
 #include <cstddef>
 #include <cstdint>
@@ -16,10 +17,16 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t *Data, size_t Size) {
   std::string_view Bytes(reinterpret_cast<const char *>(Data), Size);
 
   auto Strict = trace::parseTraceBinary(Bytes, fuzz::strictOptions());
-  Strict.takeError().consume();
+  if (Strict)
+    fuzz::checkReductionAcrossThreads(*Strict);
+  else
+    Strict.takeError().consume();
 
   ParseReport Report;
   auto Lenient = trace::parseTraceBinary(Bytes, fuzz::lenientOptions(Report));
-  Lenient.takeError().consume();
+  if (Lenient)
+    fuzz::checkReductionAcrossThreads(*Lenient);
+  else
+    Lenient.takeError().consume();
   return 0;
 }

@@ -441,8 +441,9 @@ int main(int Argc, char **Argv) {
                          Stream->numProcs(), WOpts);
       }
       ExitOnErr(Analyzer->addEvent(E));
-      metrics::counter("lima.monitor.events_total").add(1);
     }
+    // Counted per batch: one registry lookup, not one per event.
+    metrics::counter("lima.monitor.events_total").add(Events.size());
     Events.clear();
     if (!Analyzer)
       return;

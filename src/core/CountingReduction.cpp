@@ -6,7 +6,7 @@
 
 #include "core/CountingReduction.h"
 #include "support/Compiler.h"
-#include <vector>
+#include "trace/EventWalker.h"
 
 using namespace lima;
 using namespace lima::core;
@@ -27,12 +27,32 @@ std::string_view core::countingMetricName(CountingMetric Metric) {
   lima_unreachable("unknown CountingMetric");
 }
 
+namespace {
+
+/// Counts each wanted message endpoint (or its bytes) into the
+/// innermost open region.
+struct CountSink : trace::WalkSink {
+  MeasurementCube &Cube;
+  EventKind Wanted;
+  bool WantBytes;
+
+  void message(const Event &E, const trace::WalkState &S) {
+    if (E.Kind != Wanted || S.Stack.empty())
+      return;
+    Cube.accumulate(S.Stack.back().Region, 0, E.Proc,
+                    WantBytes ? static_cast<double>(E.Bytes) : 1.0);
+  }
+};
+
+} // namespace
+
 Expected<MeasurementCube> core::reduceTraceCounts(const trace::Trace &T,
                                                   CountingMetric Metric) {
-  if (auto Err = T.validate())
-    return Err;
-  if (T.numRegions() == 0)
+  if (T.numRegions() == 0) {
+    if (auto Err = T.validate())
+      return Err;
     return makeStringError("trace declares no regions");
+  }
 
   bool WantSend = Metric == CountingMetric::MessagesSent ||
                   Metric == CountingMetric::BytesSent;
@@ -42,31 +62,9 @@ Expected<MeasurementCube> core::reduceTraceCounts(const trace::Trace &T,
   MeasurementCube Cube(T.regionNames(),
                        {std::string(countingMetricName(Metric))},
                        T.numProcs());
-  for (unsigned Proc = 0; Proc != T.numProcs(); ++Proc) {
-    // Messages are attributed to the innermost open region.
-    std::vector<uint32_t> Stack;
-    for (const Event &E : T.events(Proc)) {
-      switch (E.Kind) {
-      case EventKind::RegionEnter:
-        Stack.push_back(E.Id);
-        break;
-      case EventKind::RegionExit:
-        Stack.pop_back();
-        break;
-      case EventKind::MessageSend:
-      case EventKind::MessageRecv: {
-        bool IsSend = E.Kind == EventKind::MessageSend;
-        if (IsSend != WantSend || Stack.empty())
-          break;
-        Cube.accumulate(Stack.back(), 0, Proc,
-                        WantBytes ? static_cast<double>(E.Bytes) : 1.0);
-        break;
-      }
-      case EventKind::ActivityBegin:
-      case EventKind::ActivityEnd:
-        break;
-      }
-    }
-  }
+  EventKind Wanted = WantSend ? EventKind::MessageSend : EventKind::MessageRecv;
+  CountSink Sink{{}, Cube, Wanted, WantBytes};
+  if (auto Err = trace::walkTrace(T, Sink))
+    return Err;
   return Cube;
 }

@@ -8,70 +8,57 @@
 #include "stats/Descriptive.h"
 #include "stats/Dispersion.h"
 #include "support/MathUtils.h"
-#include <cassert>
+#include "trace/EventWalker.h"
 
 using namespace lima;
 using namespace lima::core;
 using trace::Event;
-using trace::EventKind;
+
+namespace {
+
+using PerInstanceTimes =
+    std::vector<std::vector<std::vector<std::vector<double>>>>;
+
+/// Tags each region frame with its instance number (the k-th entry of
+/// region i on a processor is instance k) and adds activity time to the
+/// innermost frame's instance, as reduceTrace does to its region.
+struct InstanceSink : trace::WalkSink {
+  /// [region][instance][activity][proc] accumulated times.
+  PerInstanceTimes PerInstance;
+  /// Instance counter per (region, proc).
+  std::vector<std::vector<size_t>> InstanceCount;
+  /// One instance's all-zero [activity][proc] cells.
+  std::vector<std::vector<double>> NewInstance;
+
+  size_t regionEnter(const Event &E, const trace::WalkState &) {
+    size_t Instance = InstanceCount[E.Id][E.Proc]++;
+    if (PerInstance[E.Id].size() <= Instance)
+      PerInstance[E.Id].resize(Instance + 1, NewInstance);
+    return Instance;
+  }
+  void activityEnd(const Event &E, const trace::WalkState &S,
+                   uint32_t Activity, double Begin) {
+    const trace::WalkFrame &Frame = S.Stack.back();
+    PerInstance[Frame.Region][Frame.Tag][Activity][E.Proc] += E.Time - Begin;
+  }
+};
+
+} // namespace
 
 Expected<PhaseResult> core::analyzePhases(const trace::Trace &T,
                                           const ViewOptions &Options) {
-  if (auto Err = T.validate())
-    return Err;
-
   size_t N = T.numRegions();
   size_t K = T.numActivities();
   unsigned P = T.numProcs();
 
-  // PerInstance[region][instance][activity][proc] accumulated times.
-  std::vector<std::vector<std::vector<std::vector<double>>>> PerInstance(N);
-  // Instance counter per (region, proc).
-  std::vector<std::vector<size_t>> InstanceCount(
-      N, std::vector<size_t>(P, 0));
-
-  for (unsigned Proc = 0; Proc != P; ++Proc) {
-    // Regions may nest; activity time goes to the innermost frame's
-    // instance (exclusive-time semantics, matching reduceTrace).
-    struct Frame {
-      uint32_t Region;
-      size_t Instance;
-    };
-    std::vector<Frame> Stack;
-    uint32_t OpenActivity = trace::Trace::InvalidId;
-    double ActivityBegin = 0.0;
-    for (const Event &E : T.events(Proc)) {
-      switch (E.Kind) {
-      case EventKind::RegionEnter: {
-        size_t Instance = InstanceCount[E.Id][Proc]++;
-        auto &Instances = PerInstance[E.Id];
-        if (Instances.size() <= Instance)
-          Instances.resize(Instance + 1,
-                           std::vector<std::vector<double>>(
-                               K, std::vector<double>(P, 0.0)));
-        Stack.push_back({E.Id, Instance});
-        break;
-      }
-      case EventKind::RegionExit:
-        Stack.pop_back();
-        break;
-      case EventKind::ActivityBegin:
-        OpenActivity = E.Id;
-        ActivityBegin = E.Time;
-        break;
-      case EventKind::ActivityEnd:
-        assert(!Stack.empty() &&
-               "validated trace has activities inside regions");
-        PerInstance[Stack.back().Region][Stack.back().Instance]
-                   [OpenActivity][Proc] += E.Time - ActivityBegin;
-        OpenActivity = trace::Trace::InvalidId;
-        break;
-      case EventKind::MessageSend:
-      case EventKind::MessageRecv:
-        break;
-      }
-    }
-  }
+  InstanceSink Sink;
+  Sink.PerInstance.resize(N);
+  Sink.InstanceCount.assign(N, std::vector<size_t>(P, 0));
+  Sink.NewInstance.assign(K, std::vector<double>(P, 0.0));
+  if (auto Err = trace::walkTrace(T, Sink))
+    return Err;
+  const PerInstanceTimes &PerInstance = Sink.PerInstance;
+  const std::vector<std::vector<size_t>> &InstanceCount = Sink.InstanceCount;
 
   // All processors must agree on the instance count of each region they
   // execute at all.

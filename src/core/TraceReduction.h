@@ -25,24 +25,15 @@ namespace core {
 
 /// Options for reduceTrace.
 struct ReductionOptions {
-  /// When true, time inside a region not covered by any activity bracket
-  /// is attributed to GapActivity (by id); when false, gaps are dropped.
-  bool AttributeGaps = false;
-  /// Activity receiving gap time when AttributeGaps is set.
-  uint32_t GapActivity = 0;
-  /// Set the cube's explicit program time to the trace span (max event
-  /// time): the program's wall-clock duration, including uninstrumented
-  /// stretches between regions.
-  bool ProgramTimeFromSpan = true;
   /// Worker threads for the per-processor reduction shards (0 = all
   /// hardware threads, 1 = serial).  Results are bit-identical at any
   /// setting: each processor's stream folds into disjoint cube cells.
   unsigned Threads = 0;
   /// Strict: the first structurally impossible event aborts the
   /// reduction.  Lenient: such events are skipped (the fold continues
-  /// with the surrounding structure intact), counted into Report, and
-  /// full-trace validation is not run first — one bad event no longer
-  /// kills a million-event analysis.
+  /// with the surrounding structure intact) and counted into Report, and
+  /// message balance is not checked — one bad event no longer kills a
+  /// million-event analysis.
   ParseMode Mode = ParseMode::Strict;
   /// Receives dropped-event counts in lenient mode.  Per-processor
   /// shard reports are merged in processor order, so counts are
@@ -51,13 +42,10 @@ struct ReductionOptions {
 };
 
 /// Reduces \p T to a cube with one region per trace region, one activity
-/// per trace activity and one column per processor.  In strict mode runs
-/// trace::Trace::validate() first and propagates its errors; the fold
-/// itself additionally rejects structurally impossible streams (region
-/// exit without enter, activity brackets outside any region) with a
-/// typed ErrorCode::StructuralError rather than relying on validation
-/// having run.  In lenient mode those events are dropped and counted
-/// instead (see ReductionOptions::Mode).
+/// per trace activity and one column per processor, attributing activity
+/// intervals to the innermost open region; program time is the trace
+/// span.  Strict mode validates while folding and fails with
+/// Trace::validate()'s error; lenient mode drops and counts instead.
 Expected<MeasurementCube> reduceTrace(const trace::Trace &T,
                                       const ReductionOptions &Options = {});
 

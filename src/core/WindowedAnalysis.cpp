@@ -15,6 +15,23 @@ using namespace lima::core;
 using trace::Event;
 using trace::EventKind;
 
+namespace {
+
+/// Captures the activity interval an event closes, if any.
+struct ClosedInterval : trace::WalkSink {
+  uint32_t Region = 0;
+  uint32_t Activity = trace::Trace::InvalidId;
+  double Begin = 0.0;
+  void activityEnd(const Event &, const trace::WalkState &S, uint32_t Closed,
+                   double From) {
+    Region = S.Stack.back().Region;
+    Activity = Closed;
+    Begin = From;
+  }
+};
+
+} // namespace
+
 WindowedAnalyzer::WindowedAnalyzer(std::vector<std::string> Regions,
                                    std::vector<std::string> Activities,
                                    unsigned Procs, WindowedOptions Opts)
@@ -23,9 +40,9 @@ WindowedAnalyzer::WindowedAnalyzer(std::vector<std::string> Regions,
   assert(!RegionNames.empty() && !ActivityNames.empty() && NumProcs > 0 &&
          "windowed analysis needs declared regions, activities and procs");
   assert(Options.WindowSeconds > 0.0 && "window width must be positive");
-  this->Procs.resize(NumProcs);
-  for (ProcState &P : this->Procs)
-    P.OpenActivity = trace::Trace::InvalidId;
+  this->Procs.reserve(NumProcs);
+  for (unsigned Proc = 0; Proc != NumProcs; ++Proc)
+    this->Procs.emplace_back(Proc, Options.Mode, Options.Report);
 }
 
 uint64_t WindowedAnalyzer::windowIndexOf(double Time) const {
@@ -112,79 +129,31 @@ Error WindowedAnalyzer::addEvent(const Event &E) {
                           "proc %u event time %f is not finite and "
                           "non-negative",
                           E.Proc, E.Time);
-  ProcState &P = Procs[E.Proc];
-  if (P.AnyEvents && E.Time < P.LastTime)
+  trace::ProcessorWalker &P = Procs[E.Proc];
+  const trace::WalkState &S = P.state();
+  // Exact monotonicity (no validation tolerance): watermark finality
+  // relies on it.
+  if (S.Index != 0 && E.Time < S.Clock)
     return makeCodedError(ErrorCode::StructuralError,
                           "proc %u time goes backwards (%.9f after %.9f)",
-                          E.Proc, E.Time, P.LastTime);
+                          E.Proc, E.Time, S.Clock);
   if (Options.Report)
     ++Options.Report->TotalRecords;
+  if (E.Kind == EventKind::RegionEnter && E.Id >= RegionNames.size())
+    return makeCodedError(ErrorCode::ValueOutOfRange,
+                          "event region %u out of range", E.Id);
+  if (E.Kind == EventKind::ActivityBegin && E.Id >= ActivityNames.size())
+    return makeCodedError(ErrorCode::ValueOutOfRange,
+                          "event activity %u out of range", E.Id);
 
-  // Mirrors TraceReduction's lenient contract: a structurally
-  // impossible event is dropped and counted instead of aborting.  A
-  // drop returns success so the event still reaches the timeline
-  // updates below — its timestamp advances the processor clock and the
-  // watermark, exactly like reduceTrace's span — it just attributes no
-  // time.
-  auto malformed = [&](const char *What) -> Error {
-    ParseError PE{ErrorCode::StructuralError, 0, NoByteOffset,
-                  "proc " + std::to_string(E.Proc) + ": " + What};
-    if (Options.Mode == ParseMode::Lenient) {
-      if (Options.Report)
-        Options.Report->addDrop(std::move(PE));
-      return Error::success();
-    }
-    return Error::fromParse(std::move(PE));
-  };
+  ClosedInterval Closed;
+  if (!P.step(E, Closed))
+    return Error::fromParse(std::move(P.error()));
+  if (Closed.Activity != trace::Trace::InvalidId)
+    if (auto Err = accumulateInterval(Closed.Region, Closed.Activity, E.Proc,
+                                      Closed.Begin, E.Time))
+      return Err;
 
-  switch (E.Kind) {
-  case EventKind::RegionEnter:
-    if (E.Id >= RegionNames.size())
-      return makeCodedError(ErrorCode::ValueOutOfRange,
-                            "event region %u out of range", E.Id);
-    P.Stack.push_back({E.Id});
-    break;
-  case EventKind::RegionExit:
-    if (P.Stack.empty()) {
-      if (auto Err = malformed("region exit without matching enter"))
-        return Err;
-    } else
-      P.Stack.pop_back();
-    break;
-  case EventKind::ActivityBegin:
-    if (E.Id >= ActivityNames.size())
-      return makeCodedError(ErrorCode::ValueOutOfRange,
-                            "event activity %u out of range", E.Id);
-    if (P.Stack.empty()) {
-      if (auto Err = malformed("activity begins outside any region"))
-        return Err;
-    } else {
-      P.OpenActivity = E.Id;
-      P.ActivityBeginTime = E.Time;
-    }
-    break;
-  case EventKind::ActivityEnd:
-    if (P.Stack.empty()) {
-      if (auto Err = malformed("activity ends outside any region"))
-        return Err;
-    } else if (P.OpenActivity == trace::Trace::InvalidId) {
-      if (auto Err = malformed("activity end without matching begin"))
-        return Err;
-    } else {
-      if (auto Err = accumulateInterval(P.Stack.back().Region,
-                                        P.OpenActivity, E.Proc,
-                                        P.ActivityBeginTime, E.Time))
-        return Err;
-      P.OpenActivity = trace::Trace::InvalidId;
-    }
-    break;
-  case EventKind::MessageSend:
-  case EventKind::MessageRecv:
-    break; // No attributable duration.
-  }
-
-  P.LastTime = E.Time;
-  P.AnyEvents = true;
   MaxTime = std::max(MaxTime, E.Time);
   ++EventsSeen;
   WindowAccum *Accum = windowAt(windowIndexOf(E.Time));
@@ -212,12 +181,11 @@ double WindowedAnalyzer::watermark() const {
   // processor's open activity will be attributed back to its begin
   // time when it closes, so an open interval pins the watermark there.
   double Mark = MaxTime;
-  for (const ProcState &P : Procs) {
-    double Safe = !P.AnyEvents ? 0.0
-                  : P.OpenActivity != trace::Trace::InvalidId
-                      ? P.ActivityBeginTime
-                      : P.LastTime;
-    Mark = std::min(Mark, Safe);
+  for (const trace::ProcessorWalker &P : Procs) {
+    const trace::WalkState &S = P.state();
+    if (S.Index == 0)
+      return 0.0;
+    Mark = std::min(Mark, S.activityOpen() ? S.ActivityBegin : S.Clock);
   }
   return Mark;
 }

@@ -29,8 +29,7 @@
 /// processor-grouped post-mortem file holds windows until finish().
 ///
 /// Unclosed intervals contribute nothing (matching reduceTrace, which
-/// only accumulates on ActivityEnd); gap attribution is not supported
-/// here.
+/// only accumulates on ActivityEnd).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,15 +40,12 @@
 #include "core/Views.h"
 #include "support/Error.h"
 #include "support/ParseLimits.h"
-#include "trace/Event.h"
+#include "trace/EventWalker.h"
 #include <map>
 #include <string>
 #include <vector>
 
 namespace lima {
-namespace trace {
-class Trace;
-} // namespace trace
 namespace core {
 
 /// Options for the windowed analyzer.
@@ -108,14 +104,12 @@ public:
                    std::vector<std::string> ActivityNames, unsigned NumProcs,
                    WindowedOptions Options);
 
-  /// Consumes one event.  Structural violations (exit without enter,
-  /// activity outside a region, end without begin) fail in strict mode
-  /// and are dropped + counted in lenient mode; a dropped event still
-  /// advances the processor's clock, the watermark, and the event
-  /// counters (mirroring reduceTrace, whose span includes dropped
-  /// events), it just attributes no time.  Out-of-range ids,
-  /// non-finite or negative times, and time regressions within a
-  /// processor are always errors.
+  /// Consumes one event.  Out-of-range ids, non-finite or negative
+  /// times, and time regressions within a processor are always errors;
+  /// structure is checked by trace::ProcessorWalker in the mode's rules.
+  /// A lenient drop still advances the processor's clock, the watermark
+  /// and the event counters (like reduceTrace's span), it just
+  /// attributes no time.
   Error addEvent(const trace::Event &E);
 
   /// Convenience: feeds every event of \p T in processor-major order
@@ -141,17 +135,6 @@ public:
   double windowSeconds() const { return Options.WindowSeconds; }
 
 private:
-  struct ProcState {
-    struct Frame {
-      uint32_t Region;
-    };
-    std::vector<Frame> Stack;
-    uint32_t OpenActivity;
-    double ActivityBeginTime = 0.0;
-    double LastTime = 0.0;
-    bool AnyEvents = false;
-  };
-
   struct WindowAccum {
     MeasurementCube Cube;
     uint64_t Events = 0;
@@ -177,7 +160,7 @@ private:
   std::vector<std::string> ActivityNames;
   unsigned NumProcs;
   WindowedOptions Options;
-  std::vector<ProcState> Procs;
+  std::vector<trace::ProcessorWalker> Procs;
   std::map<uint64_t, WindowAccum> Windows;
   double MaxTime = 0.0;
   uint64_t EventsSeen = 0;

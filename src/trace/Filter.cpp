@@ -5,24 +5,65 @@
 //===----------------------------------------------------------------------===//
 
 #include "trace/Filter.h"
-#include <algorithm>
+#include "trace/EventWalker.h"
 
 using namespace lima;
 using namespace lima::trace;
 
+namespace {
+
+/// Appends each outermost region instance — the stream positions from
+/// its enter to its exit, nested regions included — to Result when the
+/// outermost region is allowlisted and the instance lies in the window.
+struct InstanceFilter : WalkSink {
+  const FilterOptions &Options;
+  const std::vector<bool> &KeepRegion;
+  const Trace &T;
+  Trace &Result;
+  size_t Start = 0;
+  bool InstanceKept = false;
+
+  size_t regionEnter(const Event &E, const WalkState &S) {
+    if (S.Stack.size() == 1) {
+      Start = S.Index - 1;
+      InstanceKept = KeepRegion[E.Id] && E.Time >= Options.TimeBegin;
+    }
+    return 0;
+  }
+  void regionExit(const Event &E, const WalkState &S) {
+    if (!S.Stack.empty() || !InstanceKept || !(E.Time <= Options.TimeEnd))
+      return;
+    for (size_t Pos = Start; Pos != S.Index; ++Pos) {
+      Event Kept = T.events(S.Proc)[Pos];
+      if (Options.KeepMessages || (Kept.Kind != EventKind::MessageSend &&
+                                   Kept.Kind != EventKind::MessageRecv))
+        Result.append(Kept);
+    }
+  }
+};
+
+} // namespace
+
 Expected<Trace> trace::filterTrace(const Trace &T,
                                    const FilterOptions &Options) {
-  if (auto Err = T.validate())
-    return Err;
+  // Structural errors outrank bad options.
+  auto reject = [&T](Error OptionErr) -> Error {
+    if (auto Err = T.validate()) {
+      OptionErr.consume();
+      return Err;
+    }
+    return OptionErr;
+  };
   if (!(Options.TimeBegin <= Options.TimeEnd))
-    return makeStringError("filter window is empty");
+    return reject(makeStringError("filter window is empty"));
 
   // Resolve the region-name allowlist to ids.
   std::vector<bool> KeepRegion(T.numRegions(), Options.Regions.empty());
   for (const std::string &Name : Options.Regions) {
     uint32_t Id = T.findRegion(Name);
     if (Id == Trace::InvalidId)
-      return makeStringError("filter: unknown region '%s'", Name.c_str());
+      return reject(
+          makeStringError("filter: unknown region '%s'", Name.c_str()));
     KeepRegion[Id] = true;
   }
 
@@ -32,44 +73,8 @@ Expected<Trace> trace::filterTrace(const Trace &T,
   for (const std::string &Name : T.activityNames())
     Result.addActivity(Name);
 
-  for (unsigned Proc = 0; Proc != T.numProcs(); ++Proc) {
-    // The filter unit is the *outermost* region instance: nested child
-    // regions ride along with their enclosing bracket, and the region
-    // allowlist is matched against the outermost region id.
-    std::vector<Event> Pending;
-    unsigned Depth = 0;
-    bool InstanceKept = false;
-    for (const Event &E : T.events(Proc)) {
-      switch (E.Kind) {
-      case EventKind::RegionEnter:
-        if (Depth == 0) {
-          InstanceKept = KeepRegion[E.Id] && E.Time >= Options.TimeBegin;
-          Pending.clear();
-        }
-        ++Depth;
-        Pending.push_back(E);
-        break;
-      case EventKind::RegionExit:
-        Pending.push_back(E);
-        --Depth;
-        if (Depth == 0) {
-          if (InstanceKept && E.Time <= Options.TimeEnd)
-            for (const Event &Kept : Pending)
-              Result.append(Kept);
-          Pending.clear();
-        }
-        break;
-      case EventKind::MessageSend:
-      case EventKind::MessageRecv:
-        if (Options.KeepMessages && Depth > 0)
-          Pending.push_back(E);
-        break;
-      default:
-        if (Depth > 0)
-          Pending.push_back(E);
-        break;
-      }
-    }
-  }
+  InstanceFilter Sink{{}, Options, KeepRegion, T, Result};
+  if (auto Err = walkTrace(T, Sink))
+    return Err;
   return Result;
 }

@@ -5,12 +5,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "trace/Trace.h"
-#include "support/Compiler.h"
-#include <algorithm>
+#include "trace/EventWalker.h"
 #include <cassert>
-#include <cmath>
-#include <map>
-#include <tuple>
 
 using namespace lima;
 using namespace lima::trace;
@@ -108,114 +104,6 @@ size_t Trace::numEvents() const {
 }
 
 Error Trace::validate() const {
-  // Message matching: count (sender, receiver, bytes) triples from both
-  // sides; they must agree.
-  std::map<std::tuple<uint32_t, uint32_t, uint64_t>, int64_t> MessageBalance;
-
-  for (unsigned Proc = 0; Proc != numProcs(); ++Proc) {
-    const EventsRef Stream = events(Proc);
-    double LastTime = 0.0;
-    // Regions may nest (loops inside routines, statements inside loops);
-    // exits must match the innermost open region.
-    std::vector<uint32_t> RegionStack;
-    int64_t ActivityDepth = 0;
-    uint32_t OpenActivity = InvalidId;
-
-    for (size_t I = 0; I != Stream.size(); ++I) {
-      const Event &E = Stream[I];
-      if (!std::isfinite(E.Time) || E.Time < 0.0)
-        return makeCodedError(ErrorCode::ValueOutOfRange,
-                              "proc %u event %zu: time %.9f is not finite "
-                              "and non-negative",
-                              Proc, I, E.Time);
-      if (E.Time + 1e-12 < LastTime)
-        return makeCodedError(
-            ErrorCode::StructuralError,
-            "proc %u event %zu: time goes backwards (%.9f after %.9f)", Proc,
-            I, E.Time, LastTime);
-      LastTime = std::max(LastTime, E.Time);
-
-      switch (E.Kind) {
-      case EventKind::RegionEnter:
-        if (ActivityDepth != 0)
-          return makeCodedError(ErrorCode::StructuralError,
-                                "proc %u event %zu: region enters while an "
-                                "activity is open",
-                                Proc, I);
-        RegionStack.push_back(E.Id);
-        break;
-      case EventKind::RegionExit:
-        if (RegionStack.empty())
-          return makeCodedError(ErrorCode::StructuralError,
-                                "proc %u event %zu: region exit without "
-                                "matching enter",
-                                Proc, I);
-        if (E.Id != RegionStack.back())
-          return makeCodedError(ErrorCode::StructuralError,
-                                "proc %u event %zu: region exit id %u does "
-                                "not match innermost open region %u",
-                                Proc, I, E.Id, RegionStack.back());
-        if (ActivityDepth != 0)
-          return makeCodedError(ErrorCode::StructuralError,
-                                "proc %u event %zu: region exits while an "
-                                "activity is open",
-                                Proc, I);
-        RegionStack.pop_back();
-        break;
-      case EventKind::ActivityBegin:
-        if (RegionStack.empty())
-          return makeCodedError(ErrorCode::StructuralError,
-                                "proc %u event %zu: activity begins outside "
-                                "any region",
-                                Proc, I);
-        if (ActivityDepth != 0)
-          return makeCodedError(ErrorCode::StructuralError,
-                                "proc %u event %zu: overlapping activities",
-                                Proc, I);
-        ActivityDepth = 1;
-        OpenActivity = E.Id;
-        break;
-      case EventKind::ActivityEnd:
-        if (ActivityDepth != 1)
-          return makeCodedError(ErrorCode::StructuralError,
-                                "proc %u event %zu: activity end without "
-                                "matching begin",
-                                Proc, I);
-        if (E.Id != OpenActivity)
-          return makeCodedError(ErrorCode::StructuralError,
-                                "proc %u event %zu: activity end id %u does "
-                                "not match open activity %u",
-                                Proc, I, E.Id, OpenActivity);
-        ActivityDepth = 0;
-        OpenActivity = InvalidId;
-        break;
-      case EventKind::MessageSend:
-        ++MessageBalance[{Proc, E.Id, E.Bytes}];
-        break;
-      case EventKind::MessageRecv:
-        --MessageBalance[{E.Id, Proc, E.Bytes}];
-        break;
-      }
-    }
-    if (!RegionStack.empty())
-      return makeCodedError(ErrorCode::StructuralError,
-                            "proc %u: region left open at end of trace",
-                            Proc);
-    if (ActivityDepth != 0)
-      return makeCodedError(ErrorCode::StructuralError,
-                            "proc %u: activity left open at end of trace",
-                            Proc);
-  }
-
-  for (const auto &[Key, Balance] : MessageBalance) {
-    if (Balance == 0)
-      continue;
-    auto [From, To, Bytes] = Key;
-    return makeCodedError(ErrorCode::StructuralError,
-                          "unmatched message %u -> %u (%llu bytes): "
-                          "balance %lld",
-                          From, To, static_cast<unsigned long long>(Bytes),
-                          static_cast<long long>(Balance));
-  }
-  return Error::success();
+  WalkSink Structure;
+  return walkTrace(*this, Structure);
 }

@@ -178,15 +178,11 @@ public:
   /// Total number of events across all processors.
   size_t numEvents() const;
 
-  /// Structural validation:
-  ///  - per-processor event times are non-decreasing;
-  ///  - region enter/exit events are properly nested (regions MAY nest,
-  ///    modeling routines > loops > statements; exits must match the
-  ///    innermost open region) and activity begin/end pairs are balanced,
-  ///    lie inside a region, do not overlap, and do not straddle region
-  ///    boundaries;
-  ///  - every MessageSend has a matching MessageRecv on the peer with the
-  ///    same byte count, and vice versa.
+  /// Structural validation: every processor's stream passes the strict
+  /// policy of trace::ProcessorWalker (EventWalker.h) — monotone time,
+  /// nested regions (routines > loops > statements), balanced activities
+  /// inside one region — and every MessageSend has a matching
+  /// MessageRecv on the peer with the same byte count, and vice versa.
   Error validate() const;
 
 private:

@@ -360,15 +360,6 @@ TEST(TraceReductionTest, AttributesActivityIntervals) {
   EXPECT_DOUBLE_EQ(Cube.programTime(), 10.0);
 }
 
-TEST(TraceReductionTest, GapAttributionOptIn) {
-  ReductionOptions Options;
-  Options.AttributeGaps = true;
-  Options.GapActivity = 0;
-  auto Cube = cantFail(reduceTrace(makeReductionTrace(), Options));
-  // Proc 0's gap (4, 6) lands in activity 0.
-  EXPECT_DOUBLE_EQ(Cube.time(0, 0, 0), 6.0);
-}
-
 TEST(TraceReductionTest, NestedRegionsGetExclusiveTime) {
   // routine [0, 10] contains loop [2, 6]; activity runs [0,10] split
   // into three intervals so it never straddles a region boundary.
@@ -392,28 +383,6 @@ TEST(TraceReductionTest, NestedRegionsGetExclusiveTime) {
   // the 6s outside the loop.
   EXPECT_DOUBLE_EQ(Cube.time(0, 0, 0), 6.0);
   EXPECT_DOUBLE_EQ(Cube.time(1, 0, 0), 4.0);
-}
-
-TEST(TraceReductionTest, NestedGapAttribution) {
-  // routine [0, 10]; loop [2, 6] fully covered by an activity; the
-  // routine's own time is uncovered -> gaps of 2s before and 4s after.
-  trace::Trace T(1);
-  uint32_t Routine = T.addRegion("routine");
-  uint32_t Loop = T.addRegion("loop");
-  uint32_t A = T.addActivity("comp");
-  T.append({0.0, 0, trace::EventKind::RegionEnter, Routine, 0});
-  T.append({2.0, 0, trace::EventKind::RegionEnter, Loop, 0});
-  T.append({2.0, 0, trace::EventKind::ActivityBegin, A, 0});
-  T.append({6.0, 0, trace::EventKind::ActivityEnd, A, 0});
-  T.append({6.0, 0, trace::EventKind::RegionExit, Loop, 0});
-  T.append({10.0, 0, trace::EventKind::RegionExit, Routine, 0});
-
-  ReductionOptions Options;
-  Options.AttributeGaps = true;
-  Options.GapActivity = 0;
-  auto Cube = cantFail(reduceTrace(T, Options));
-  EXPECT_DOUBLE_EQ(Cube.time(1, 0, 0), 4.0); // Loop's activity.
-  EXPECT_DOUBLE_EQ(Cube.time(0, 0, 0), 6.0); // Routine gaps (2 + 4).
 }
 
 TEST(TraceReductionTest, RejectsInvalidTrace) {

@@ -162,7 +162,6 @@ trace::Trace makeTrace(unsigned Procs, unsigned Rounds) {
 TEST(ParallelIdentityTest, ReduceTraceIsBitIdenticalAcrossThreadCounts) {
   trace::Trace T = makeTrace(16, 20);
   core::ReductionOptions Serial;
-  Serial.AttributeGaps = true;
   Serial.Threads = 1;
   core::MeasurementCube Reference = cantFail(core::reduceTrace(T, Serial));
 
@@ -329,6 +328,41 @@ TEST(ReduceTraceErrorTest, ActivityEndWithoutBeginIsAnError) {
   std::string Message = messageOf(std::move(Result));
   EXPECT_NE(Message.find("without matching begin"), std::string::npos)
       << Message;
+}
+
+TEST(ReduceTraceErrorTest, LenientDropsActivityEndingBeforeItBegins) {
+  // Lenient mode has no clock rule, so an activity end can precede its
+  // begin; the fold drops it instead of accumulating a negative interval.
+  trace::Trace T(2);
+  uint32_t R = T.addRegion("r");
+  uint32_t A = T.addActivity("a");
+  for (uint32_t P = 0; P != 2; ++P) {
+    T.append({0.0, P, trace::EventKind::RegionEnter, R, 0});
+    T.append({2.0, P, trace::EventKind::ActivityBegin, A, 0});
+    if (P == 1)
+      T.append({1.0, P, trace::EventKind::ActivityEnd, A, 0}); // Inverted.
+    T.append({3.0, P, trace::EventKind::ActivityEnd, A, 0});
+    T.append({3.0, P, trace::EventKind::RegionExit, R, 0});
+  }
+  std::string Message = messageOf(core::reduceTrace(T));
+  EXPECT_NE(Message.find("proc 1 event 2: time goes backwards"),
+            std::string::npos)
+      << Message;
+
+  for (unsigned Threads : ThreadCounts) {
+    ParseReport Report;
+    core::ReductionOptions Options;
+    Options.Threads = Threads;
+    Options.Mode = ParseMode::Lenient;
+    Options.Report = &Report;
+    core::MeasurementCube Cube = cantFail(core::reduceTrace(T, Options));
+    EXPECT_EQ(Report.DroppedRecords, 1u) << "threads=" << Threads;
+    ASSERT_EQ(Report.Samples.size(), 1u);
+    EXPECT_EQ(Report.Samples[0].Msg,
+              "proc 1 event 2: activity ends before it begins");
+    EXPECT_EQ(Cube.time(0, 0, 0), 1.0);
+    EXPECT_EQ(Cube.time(0, 0, 1), 1.0);
+  }
 }
 
 TEST(ReduceTraceErrorTest, ValidTraceStillReducesAfterErrorPathsAdded) {

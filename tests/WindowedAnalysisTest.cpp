@@ -202,18 +202,12 @@ TEST(WindowedAnalysisTest, WatermarkGatesDraining) {
   EXPECT_EQ(Done.front().Index, 2u);
 }
 
-TEST(WindowedAnalysisTest, LenientDropCountsMatchReduceTrace) {
-  // An activity end with no begin on proc 0: reduceTrace drops exactly
-  // one record in lenient mode; the windowed fold must agree.
-  trace::Trace T(1);
-  T.addRegion("r");
-  T.addActivity("a");
-  T.append({0.0, 0, EventKind::RegionEnter, 0, 0});
-  T.append({1.0, 0, EventKind::ActivityEnd, 0, 0}); // No begin.
-  T.append({1.5, 0, EventKind::ActivityBegin, 0, 0});
-  T.append({2.0, 0, EventKind::ActivityEnd, 0, 0});
-  T.append({2.0, 0, EventKind::RegionExit, 0, 0});
+namespace {
 
+/// Reduces \p T leniently both whole and windowed (one window covering
+/// the trace) and checks that record totals, drop counts and every
+/// cell agree; returns the drop count.
+uint64_t expectLenientParity(const trace::Trace &T) {
   ParseReport WholeReport;
   ReductionOptions Reduction;
   Reduction.Mode = ParseMode::Lenient;
@@ -226,14 +220,54 @@ TEST(WindowedAnalysisTest, LenientDropCountsMatchReduceTrace) {
   Opts.Mode = ParseMode::Lenient;
   Opts.Report = &WindowReport;
   WindowedAnalyzer A = makeAnalyzer(T, Opts);
-  ASSERT_FALSE(A.addTrace(T));
+  EXPECT_FALSE(A.addTrace(T));
   std::vector<WindowResult> Windows = A.finish();
 
   EXPECT_EQ(WindowReport.TotalRecords, WholeReport.TotalRecords);
   EXPECT_EQ(WindowReport.DroppedRecords, WholeReport.DroppedRecords);
-  EXPECT_EQ(WindowReport.DroppedRecords, 1u);
-  ASSERT_EQ(Windows.size(), 1u);
-  EXPECT_EQ(Windows[0].Cube.time(0, 0, 0), Whole.time(0, 0, 0));
+  EXPECT_EQ(Windows.size(), 1u);
+  if (Windows.size() == 1) {
+    for (size_t I = 0; I != Whole.numRegions(); ++I)
+      for (size_t J = 0; J != Whole.numActivities(); ++J)
+        for (unsigned P = 0; P != Whole.numProcs(); ++P) {
+          EXPECT_EQ(Windows[0].Cube.time(I, J, P), Whole.time(I, J, P));
+        }
+  }
+  return WholeReport.DroppedRecords;
+}
+
+} // namespace
+
+TEST(WindowedAnalysisTest, LenientDropCountsMatchReduceTrace) {
+  // An activity end with no begin on proc 0: reduceTrace drops exactly
+  // one record in lenient mode; the windowed fold must agree.
+  trace::Trace T(1);
+  T.addRegion("r");
+  T.addActivity("a");
+  T.append({0.0, 0, EventKind::RegionEnter, 0, 0});
+  T.append({1.0, 0, EventKind::ActivityEnd, 0, 0}); // No begin.
+  T.append({1.5, 0, EventKind::ActivityBegin, 0, 0});
+  T.append({2.0, 0, EventKind::ActivityEnd, 0, 0});
+  T.append({2.0, 0, EventKind::RegionExit, 0, 0});
+  EXPECT_EQ(expectLenientParity(T), 1u);
+
+  // ParseErrorTest's 8-processor dirty trace: exits without enters on
+  // even processors, activities begun outside any region on every
+  // fourth one.
+  trace::Trace Dirty(8);
+  uint32_t R = Dirty.addRegion("main");
+  uint32_t A = Dirty.addActivity("compute");
+  for (uint32_t P = 0; P != 8; ++P) {
+    if (P % 2 == 0)
+      Dirty.append({0.0, P, EventKind::RegionExit, R, 0});
+    Dirty.append({0.1, P, EventKind::RegionEnter, R, 0});
+    Dirty.append({0.2, P, EventKind::ActivityBegin, A, 0});
+    Dirty.append({1.0 + P, P, EventKind::ActivityEnd, A, 0});
+    Dirty.append({1.1 + P, P, EventKind::RegionExit, R, 0});
+    if (P % 4 == 0)
+      Dirty.append({2.0 + P, P, EventKind::ActivityBegin, A, 0});
+  }
+  EXPECT_EQ(expectLenientParity(Dirty), 6u);
 }
 
 TEST(WindowedAnalysisTest, StrictModeRejectsStructuralErrors) {
@@ -242,6 +276,40 @@ TEST(WindowedAnalysisTest, StrictModeRejectsStructuralErrors) {
   WindowedAnalyzer A({"r"}, {"a"}, 1, Opts);
   EXPECT_TRUE(testutil::failed(
       A.addEvent({0.0, 0, EventKind::RegionExit, 0, 0})));
+
+  // Each stream is valid up to its last event, which strict batch
+  // validation rejects; the windowed analyzer must reject it too, with
+  // the same message.
+  const EventKind RE = EventKind::RegionEnter, RX = EventKind::RegionExit,
+                  AB = EventKind::ActivityBegin, AE = EventKind::ActivityEnd;
+  const std::vector<std::vector<trace::Event>> Streams = {
+      // Mismatched region exit.
+      {{0.0, 0, RE, 0, 0}, {0.1, 0, RE, 1, 0}, {0.2, 0, RX, 0, 0}},
+      // Region enter inside an activity.
+      {{0.0, 0, RE, 0, 0}, {0.1, 0, AB, 0, 0}, {0.2, 0, RE, 1, 0}},
+      // Overlapping activities.
+      {{0.0, 0, RE, 0, 0}, {0.1, 0, AB, 0, 0}, {0.2, 0, AB, 1, 0}},
+      // Region exit with an open activity.
+      {{0.0, 0, RE, 0, 0}, {0.1, 0, AB, 0, 0}, {0.2, 0, RX, 0, 0}},
+      // Activity end whose id does not match.
+      {{0.0, 0, RE, 0, 0}, {0.1, 0, AB, 0, 0}, {0.2, 0, AE, 1, 0}},
+  };
+  for (const std::vector<trace::Event> &Stream : Streams) {
+    trace::Trace T(1);
+    T.addRegion("r");
+    T.addRegion("s");
+    T.addActivity("a");
+    T.addActivity("b");
+    for (const trace::Event &E : Stream)
+      T.append(E);
+    std::string Batch = testutil::messageOf(T.validate());
+    ASSERT_FALSE(Batch.empty());
+
+    WindowedAnalyzer Windowed = makeAnalyzer(T, Opts);
+    for (size_t I = 0; I + 1 < Stream.size(); ++I)
+      ASSERT_FALSE(Windowed.addEvent(Stream[I]));
+    EXPECT_EQ(testutil::messageOf(Windowed.addEvent(Stream.back())), Batch);
+  }
 }
 
 TEST(WindowedAnalysisTest, RejectsOutOfRangeAndTimeRegression) {
