@@ -679,6 +679,14 @@ int main(int Argc, char **Argv) {
     outs().flush();
   }
 
+  // A stop request can land while the writer is mid-line; the bytes
+  // after the last newline are then a fragment, not the final record a
+  // pipe or non-follow EOF ends with (a cut "re 0 1.0 12" would parse
+  // as region 1).
+  if (StopRequested && Follow)
+    if (size_t Tail = Stream->discardPartialLine())
+      logging::warn("stopped mid-line, partial last line not parsed",
+                    {logging::field("bytes", Tail)});
   ExitOnErr(Stream->finish(Events));
   consumeEvents();
   reportRemaining();

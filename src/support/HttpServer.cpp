@@ -385,6 +385,12 @@ struct HttpServer::Impl {
     // which has no bound of its own.
     if (C.OutOff < C.Out.size())
       return;
+    takeFrames(C);
+  }
+
+  /// Moves every frame the hub holds for this streaming connection onto
+  /// its output buffer, flushed or not.
+  void takeFrames(Conn &C) {
     std::string Frames;
     if (C.Hub->drain(C.SubId, Frames) && !Frames.empty())
       appendStreamPayload(C, Frames);
@@ -708,15 +714,18 @@ struct HttpServer::Impl {
     }
 
     // Graceful drain: stop listening, give in-flight responses a short
-    // window to flush, then tear down.  Streams end here: flush their
-    // pending frames, send the chunked terminator so an HTTP/1.1 client
-    // sees a clean end-of-stream, and let the drain loop do the rest.
+    // window to flush, then tear down.  Streams end here: every frame
+    // the hub still holds for them goes out ahead of the chunked
+    // terminator (pumpStream would leave them behind while earlier
+    // output is unflushed, and unsubscribing discards them), so an
+    // HTTP/1.1 client sees each published frame and then a clean
+    // end-of-stream.  The drain deadline bounds a stalled client.
     ::close(ListenFd);
     ListenFd = -1;
     for (Conn &C : Conns) {
       if (!C.Hub)
         continue;
-      pumpStream(C);
+      takeFrames(C);
       if (C.Chunked)
         C.Out += "0\r\n\r\n";
       C.Hub->unsubscribe(C.SubId);

@@ -390,17 +390,8 @@ Expected<Trace> parseBinaryV2Indexed(std::string_view Data,
         const uint64_t Written = States[B].RunWritten[R];
         const uint64_t Dest = RunDest[Blk.FirstRun + R];
         uint64_t &At = Cursor[Run.Proc];
-        if (Written != 0 && At != Dest) {
-          const Trace::StreamColumns &C = Cols[Run.Proc];
-          std::memmove(C.Times + At, C.Times + Dest,
-                       Written * sizeof(*C.Times));
-          std::memmove(C.Kinds + At, C.Kinds + Dest,
-                       Written * sizeof(*C.Kinds));
-          std::memmove(C.Ids + At, C.Ids + Dest,
-                       Written * sizeof(*C.Ids));
-          std::memmove(C.Bytes + At, C.Bytes + Dest,
-                       Written * sizeof(*C.Bytes));
-        }
+        if (Written != 0 && At != Dest)
+          Cols[Run.Proc].move(Dest, At, Written);
         At += Written;
       }
     }

@@ -12,8 +12,9 @@
 /// The contract is bit-identical equivalence with parseTraceText at
 /// every thread count:
 ///
-///  - the produced Trace is identical (events merge in shard order,
-///    which is file order, so per-processor event order is preserved);
+///  - the produced Trace is identical (each shard writes a processor's
+///    events into that processor's stream at the shard's place in file
+///    order, so per-processor event order is preserved);
 ///  - in strict mode the reported error is the sequentially-first one
 ///    (shards are scanned in byte order; the lowest-offset failure
 ///    wins) with the same code, line number, offset and message;

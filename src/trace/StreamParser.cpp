@@ -33,6 +33,8 @@ Error StreamParser::parseLine(std::string_view RawLine,
   std::string_view Line = scan::skipLeadingSpace(RawLine);
   if (Line.empty() || Line.front() == '#')
     return Error::success();
+  if (SawMagic && !scan::isDirectiveLine(Line))
+    return parseEvent(Line, LineOffset, Out);
   std::string_view Fields[scan::MaxFields];
   size_t NumFields = scan::splitFields(Line, Fields);
 
@@ -64,37 +66,39 @@ Error StreamParser::parseLine(std::string_view RawLine,
     return Error::success();
   }
 
-  if (Fields[0] == "region" || Fields[0] == "activity") {
-    if (!SawProcs)
-      return fail(ErrorCode::MissingSection,
-                  "'procs' must precede declarations");
-    if (NumFields < 3)
-      return fail(ErrorCode::MalformedRecord,
-                  "declaration needs an id and a name");
-    auto IdOrErr = scan::scanUnsigned(Fields[1]);
-    if (!IdOrErr)
-      return failNumber(IdOrErr.takeError());
-    bool IsRegion = Fields[0] == "region";
-    std::vector<std::string> &Table = IsRegion ? Regions : Activities;
-    if (*IdOrErr != Table.size())
-      return fail(ErrorCode::MalformedRecord,
-                  "declaration ids must be dense and in order");
-    if (Table.size() >= (IsRegion ? Limits.MaxRegions : Limits.MaxActivities))
-      return fail(ErrorCode::LimitExceeded,
-                  "declaration count exceeds the limit");
-    if (Fields[2].size() > Limits.MaxNameBytes)
-      return fail(ErrorCode::LimitExceeded,
-                  "declaration name exceeds the length limit");
-    AllocBytes += scan::nameAllocCost(Fields[2].size());
-    if (AllocBytes > Limits.MaxAllocBytes)
-      return fail(ErrorCode::LimitExceeded,
-                  "name tables exceed the allocation cap");
-    Table.push_back(std::string(Fields[2]));
-    return Error::success();
-  }
+  // The remaining directives, "region" and "activity", declare names.
+  if (!SawProcs)
+    return fail(ErrorCode::MissingSection,
+                "'procs' must precede declarations");
+  if (NumFields < 3)
+    return fail(ErrorCode::MalformedRecord,
+                "declaration needs an id and a name");
+  auto IdOrErr = scan::scanUnsigned(Fields[1]);
+  if (!IdOrErr)
+    return failNumber(IdOrErr.takeError());
+  bool IsRegion = Fields[0] == "region";
+  std::vector<std::string> &Table = IsRegion ? Regions : Activities;
+  if (*IdOrErr != Table.size())
+    return fail(ErrorCode::MalformedRecord,
+                "declaration ids must be dense and in order");
+  if (Table.size() >= (IsRegion ? Limits.MaxRegions : Limits.MaxActivities))
+    return fail(ErrorCode::LimitExceeded,
+                "declaration count exceeds the limit");
+  if (Fields[2].size() > Limits.MaxNameBytes)
+    return fail(ErrorCode::LimitExceeded,
+                "declaration name exceeds the length limit");
+  AllocBytes += scan::nameAllocCost(Fields[2].size());
+  if (AllocBytes > Limits.MaxAllocBytes)
+    return fail(ErrorCode::LimitExceeded,
+                "name tables exceed the allocation cap");
+  Table.push_back(std::string(Fields[2]));
+  return Error::success();
+}
 
-  // Event record: the grammar lives in scan::parseEventRecord, shared
-  // with the batch and sharded parsers so the three cannot drift.
+Error StreamParser::parseEvent(std::string_view Line, size_t LineOffset,
+                               std::vector<Event> &Out) {
+  // The grammar lives in scan::parseEventRecord, shared with the batch
+  // and sharded parsers so the three cannot drift.
   if (Options.Report)
     ++Options.Report->TotalRecords;
   scan::EventTables Tables;
@@ -103,8 +107,7 @@ Error StreamParser::parseLine(std::string_view RawLine,
   Tables.NumRegions = Regions.size();
   Tables.NumActivities = Activities.size();
   Event E;
-  Error RecordErr =
-      scan::parseEventRecord(Fields, NumFields, Tables, LineNo, LineOffset, E);
+  Error RecordErr = scan::parseEventRecord(Line, Tables, LineNo, LineOffset, E);
   if (RecordErr) {
     ParseError PE = RecordErr.toParseError();
     if (PE.Code != ErrorCode::MissingSection && Options.dropRecord(PE)) {
@@ -113,8 +116,10 @@ Error StreamParser::parseLine(std::string_view RawLine,
     }
     return Error::fromParse(std::move(PE));
   }
-  if (++TotalEvents > Limits.MaxEvents)
-    return fail(ErrorCode::LimitExceeded, "event count exceeds the limit");
+  if (++TotalEvents > Options.Limits.MaxEvents)
+    return makeParseError(ErrorCode::LimitExceeded, LineNo, LineOffset,
+                          "trace line %zu: event count exceeds the limit",
+                          LineNo);
   LIMA_METRIC_COUNT("lima.stream.events_total", 1);
   Out.push_back(E);
   return Error::success();
@@ -161,4 +166,10 @@ Error StreamParser::finish(std::vector<Event> &Out) {
     return makeCodedError(ErrorCode::MissingSection,
                           "trace: missing 'procs' line");
   return Error::success();
+}
+
+size_t StreamParser::discardPartialLine() {
+  size_t Bytes = Buffer.size();
+  Buffer.clear();
+  return Bytes;
 }

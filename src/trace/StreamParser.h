@@ -49,6 +49,12 @@ public:
   /// that the magic and 'procs' lines ever arrived.
   Error finish(std::vector<Event> &Out);
 
+  /// Drops the buffered bytes of a trailing line that has no newline
+  /// yet and returns how many there were.  For a follower that stops
+  /// while the writer may be mid-line: finish() would otherwise parse
+  /// the half-written line as a record.
+  size_t discardPartialLine();
+
   /// True once the 'procs' line has been parsed (declarations and
   /// events can only follow it, so seeing any event implies this).
   bool headerComplete() const { return SawProcs; }
@@ -62,6 +68,8 @@ public:
 
 private:
   Error parseLine(std::string_view RawLine, std::vector<Event> &Out);
+  Error parseEvent(std::string_view Line, size_t LineOffset,
+                   std::vector<Event> &Out);
 
   ParseOptions Options;
   std::string Buffer;      ///< Bytes of the current incomplete line.

@@ -74,13 +74,18 @@ public:
     Done = true;
   }
 
-  /// Appends \p E to the trace under construction (sharded merge).
-  void appendEvent(const Event &E) { Result->append(E); }
+  /// The trace under construction, for the sharded merge to fill its
+  /// streams in place.  Valid once the prologue saw 'procs'.
+  Trace &trace() { return *Result; }
 
 private:
   /// Parses the line at Pos and advances past it.  Precondition:
   /// !atEnd().
   Error consumeLine();
+
+  /// Parses the event record \p Line (left-trimmed; LineNo is already
+  /// its number) and appends it to the trace.
+  Error consumeEvent(std::string_view Line, size_t LineOffset);
 
   /// Classification of the line at Pos without consuming it.
   bool nextLineIsEvent() const;
@@ -108,6 +113,15 @@ private:
   uint64_t AllocBytes = 0;
   uint64_t Records = 0;
 };
+
+/// parseTraceTextParallel's engine with the shard count fixed: the
+/// event section is split into exactly \p Shards newline-aligned shards
+/// (1 = the sequential parser), however small the input.  The public
+/// function calls it only above its size threshold; tests call it
+/// directly so small inputs reach the sharded code.
+Expected<Trace> parseTraceTextSharded(std::string_view Text,
+                                      const ParseOptions &Options,
+                                      unsigned Shards);
 
 } // namespace detail
 } // namespace trace

@@ -8,11 +8,12 @@
 /// The allocation-free scanning core shared by every LIMATRACE text
 /// consumer — the batch parser (parseTraceText), the sharded parallel
 /// parser (parseTraceTextParallel) and the incremental StreamParser.
-/// Three layers:
+/// Four layers:
 ///
-///  - splitFields: an in-place cursor tokenizer that replaces the
-///    per-line splitWhitespace() vector (one heap allocation per line)
-///    with a fixed field array on the caller's stack;
+///  - isDirectiveLine: the one classifier that decides whether a line
+///    after the magic line is a header directive or an event record;
+///  - splitFields: an in-place tokenizer into a fixed field array on
+///    the caller's stack, for header lines and rejected event lines;
 ///  - scanUnsigned / scanDouble: std::from_chars fast paths that fall
 ///    back to the historical strtoX-based StringUtils parsers whenever
 ///    from_chars does not cleanly consume the token, so the accepted
@@ -22,7 +23,13 @@
 ///    old code);
 ///  - parseEventRecord: the one event-record grammar, shared so the
 ///    three consumers cannot drift apart in error codes, messages or
-///    range checks.
+///    range checks.  It first runs a single cursor over the line
+///    (scanEventCursor), which accepts exactly the lines whose every
+///    token from_chars consumes whole and that pass every range check;
+///    any other line is split and run through the ordered checks
+///    (parseEventFields), which produce the error.  eventProcField
+///    reads just the processor field the way the grammar does, for
+///    the sharded parser's per-processor line counts.
 ///
 /// Everything here is internal to lima_trace; no stability promises.
 ///
@@ -34,6 +41,7 @@
 #include "support/Error.h"
 #include "support/StringUtils.h"
 #include "trace/Event.h"
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdint>
@@ -115,19 +123,45 @@ inline Expected<double> scanDouble(std::string_view Tok) {
 
 /// Event mnemonic table ("re", "rx", "ab", "ae", "ms", "mr").
 inline std::optional<EventKind> kindFromMnemonic(std::string_view Mnemonic) {
-  if (Mnemonic == "re")
-    return EventKind::RegionEnter;
-  if (Mnemonic == "rx")
-    return EventKind::RegionExit;
-  if (Mnemonic == "ab")
-    return EventKind::ActivityBegin;
-  if (Mnemonic == "ae")
-    return EventKind::ActivityEnd;
-  if (Mnemonic == "ms")
-    return EventKind::MessageSend;
-  if (Mnemonic == "mr")
-    return EventKind::MessageRecv;
+  if (Mnemonic.size() != 2)
+    return std::nullopt;
+  switch (Mnemonic[0]) {
+  case 'r':
+    if (Mnemonic[1] == 'e')
+      return EventKind::RegionEnter;
+    if (Mnemonic[1] == 'x')
+      return EventKind::RegionExit;
+    break;
+  case 'a':
+    if (Mnemonic[1] == 'b')
+      return EventKind::ActivityBegin;
+    if (Mnemonic[1] == 'e')
+      return EventKind::ActivityEnd;
+    break;
+  case 'm':
+    if (Mnemonic[1] == 's')
+      return EventKind::MessageSend;
+    if (Mnemonic[1] == 'r')
+      return EventKind::MessageRecv;
+    break;
+  }
   return std::nullopt;
+}
+
+/// True when the first token of \p Line (left-trimmed, see
+/// skipLeadingSpace) is a header directive: "procs", "region" or
+/// "activity".  After the magic line, every substantive line that is
+/// not a directive is an event record.
+inline bool isDirectiveLine(std::string_view Line) {
+  // Directives all start with 'p', 'r' or 'a'; cheap reject first.
+  if (Line.empty() ||
+      (Line.front() != 'p' && Line.front() != 'r' && Line.front() != 'a'))
+    return false;
+  size_t TokEnd = 0;
+  while (TokEnd < Line.size() && !isSpaceByte(Line[TokEnd]))
+    ++TokEnd;
+  std::string_view Tok = Line.substr(0, TokEnd);
+  return Tok == "procs" || Tok == "region" || Tok == "activity";
 }
 
 /// The name tables an event record validates against.  Parsers that
@@ -143,7 +177,7 @@ struct EventTables {
 /// Parses \p Fields[0..NumFields) as one event record into \p E.
 /// Grammar, range checks, error codes and messages are the historical
 /// per-line parser's, verbatim; callers own drop-vs-abort policy.
-inline Error parseEventRecord(const std::string_view *Fields,
+inline Error parseEventFields(const std::string_view *Fields,
                               size_t NumFields, const EventTables &Tables,
                               size_t LineNo, size_t LineOffset, Event &E) {
   auto fail = [&](ErrorCode Code, const char *What) {
@@ -213,6 +247,93 @@ inline Error parseEventRecord(const std::string_view *Fields,
     E.Bytes = *BytesOrErr;
   }
   return Error::success();
+}
+
+/// Advances \p P past a run of space bytes.
+inline void skipSpace(const char *&P, const char *End) {
+  while (P != End && isSpaceByte(*P))
+    ++P;
+}
+
+/// True when a token parsed up to \p Ptr ends there: at the end of the
+/// line or at a space byte.  That is exactly when from_chars consumed
+/// the whole whitespace-delimited token, i.e. when scanUnsigned and
+/// scanDouble would have taken their fast path on it.
+inline bool tokenEndsAt(const char *Ptr, const char *End) {
+  return Ptr == End || isSpaceByte(*Ptr);
+}
+
+inline bool cursorUnsigned(const char *&P, const char *End, uint64_t &Value) {
+  auto [Ptr, Ec] = std::from_chars(P, End, Value);
+  if (Ec != std::errc() || !tokenEndsAt(Ptr, End))
+    return false;
+  P = Ptr;
+  return true;
+}
+
+/// Single-pass scan of the event record \p Line (left-trimmed, not a
+/// directive).  Returns true and fills every field of \p E only when
+/// parseEventFields would accept the line with the same Event; returns
+/// false, leaving \p E untouched, for every other line (including
+/// valid ones whose numbers need the strtoX fallback, such as "+1").
+/// Defined out of line, in one translation unit: it is every parser's
+/// per-event hot path, and an inline copy would be compiled differently
+/// in each including file with the linker keeping an arbitrary one.
+bool scanEventCursor(std::string_view Line, const EventTables &Tables,
+                     Event &E);
+
+/// Parses the event record \p Line (left-trimmed, non-empty, not a
+/// comment and not a directive) into \p E.  The cursor handles every
+/// line it can accept; the rest are split and checked in the historical
+/// order, so errors keep their code, message, line and offset.
+inline Error parseEventRecord(std::string_view Line, const EventTables &Tables,
+                              size_t LineNo, size_t LineOffset, Event &E) {
+  if (scanEventCursor(Line, Tables, E))
+    return Error::success();
+  std::string_view Fields[MaxFields];
+  size_t NumFields = splitFields(Line, Fields);
+  return parseEventFields(Fields, NumFields, Tables, LineNo, LineOffset, E);
+}
+
+/// The processor of the event record \p Line (left-trimmed) as
+/// parseEventFields reads it: the second whitespace-delimited token,
+/// through scanUnsigned.  Any line parseEventRecord accepts carries
+/// exactly this processor, so counting these over a run of lines bounds
+/// how many events each processor gets from it.  nullopt when there is
+/// no second token or it is not a number.
+inline std::optional<uint64_t> eventProcField(std::string_view Line) {
+  const char *P = Line.data();
+  const char *End = P + Line.size();
+  // Fast path for the common shape, a two-byte mnemonic, one space and
+  // a short run of decimal digits ending the token: the value from_chars
+  // would give, without its call.
+  if (Line.size() > 3 && Line[2] == ' ') {
+    const char *D = P + 3;
+    const char *Stop = std::min(End, D + 9); // 9 digits cannot overflow
+    uint64_t Value = 0;
+    while (D != Stop && *D >= '0' && *D <= '9')
+      Value = Value * 10 + uint64_t(*D++ - '0');
+    if (D != P + 3 && (D == End || isSpaceByte(*D)))
+      return Value;
+  }
+  while (P != End && !isSpaceByte(*P))
+    ++P;
+  skipSpace(P, End);
+  const char *Tok = P;
+  while (P != End && !isSpaceByte(*P))
+    ++P;
+  if (P == Tok)
+    return std::nullopt;
+  uint64_t Value;
+  auto [Ptr, Ec] = std::from_chars(Tok, P, Value);
+  if (Ec == std::errc() && Ptr == P)
+    return Value; // scanUnsigned's fast path, without its Expected
+  auto ProcOrErr = scanUnsigned(std::string_view(Tok, size_t(P - Tok)));
+  if (!ProcOrErr) {
+    ProcOrErr.takeError().consume();
+    return std::nullopt;
+  }
+  return *ProcOrErr;
 }
 
 /// Heap bytes a registered name of \p Len bytes actually costs: the

@@ -15,10 +15,12 @@
 /// fields (the reduction never reads Bytes, the statistics never read
 /// Id except on sends) stream proportionally fewer bytes, and bulk
 /// parsers can size the columns up front and write decoded events
-/// straight into their final positions — no per-event push_back, no
-/// merge copy after a sharded parse.  Consumers iterate through
-/// Trace::EventsRef, which materializes Event values on access, so
-/// range-for loops over events(P) read exactly as before.
+/// straight into their final positions.  The LIMB decoders and the
+/// sharded text parser both do (the text parser counts each shard's
+/// event lines per processor first, so every shard knows where its
+/// events go); only the sequential text parser appends.  Consumers
+/// iterate through Trace::EventsRef, which materializes Event values on
+/// access, so range-for loops over events(P) read exactly as before.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,8 +30,12 @@
 #include "support/Error.h"
 #include "trace/Event.h"
 #include <cstddef>
+#include <cstring>
 #include <iterator>
+#include <memory>
+#include <new>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace lima {
@@ -41,12 +47,37 @@ namespace trace {
 /// is non-decreasing in time.  Region and activity ids index the name
 /// tables registered up front.
 class Trace {
+  /// std::allocator, except that a value-less construct default-
+  /// initializes: growing a column by resize leaves the new slots for
+  /// the bulk writer to fill instead of zeroing memory it is about to
+  /// overwrite (and the first touch of each page falls to the writer).
+  template <typename T>
+  struct UninitAllocator : std::allocator<T> {
+    template <typename U>
+    struct rebind {
+      using other = UninitAllocator<U>;
+    };
+    UninitAllocator() = default;
+    template <typename U>
+    UninitAllocator(const UninitAllocator<U> &) noexcept {}
+    template <typename U>
+    void construct(U *P) {
+      ::new (static_cast<void *>(P)) U;
+    }
+    template <typename U, typename... Args>
+    void construct(U *P, Args &&...A) {
+      ::new (static_cast<void *>(P)) U(std::forward<Args>(A)...);
+    }
+  };
+  template <typename T>
+  using Column = std::vector<T, UninitAllocator<T>>;
+
   /// One processor's event stream, columnar.
   struct Stream {
-    std::vector<double> Times;
-    std::vector<EventKind> Kinds;
-    std::vector<uint32_t> Ids;
-    std::vector<uint64_t> Bytes;
+    Column<double> Times;
+    Column<EventKind> Kinds;
+    Column<uint32_t> Ids;
+    Column<uint64_t> Bytes;
 
     size_t size() const { return Times.size(); }
     void resize(size_t N) {
@@ -126,6 +157,16 @@ public:
     EventKind *Kinds;
     uint32_t *Ids;
     uint64_t *Bytes;
+
+    /// Moves events [From, From + N) to [To, To + N) in every column
+    /// (the ranges may overlap); bulk decoders close the gaps lenient
+    /// drops leave with it.
+    void move(size_t From, size_t To, size_t N) const {
+      std::memmove(Times + To, Times + From, N * sizeof(*Times));
+      std::memmove(Kinds + To, Kinds + From, N * sizeof(*Kinds));
+      std::memmove(Ids + To, Ids + From, N * sizeof(*Ids));
+      std::memmove(Bytes + To, Bytes + From, N * sizeof(*Bytes));
+    }
   };
 
   /// Creates a trace for \p NumProcs processors.
@@ -163,7 +204,9 @@ public:
 
   /// Pre-sizes processor \p Proc's stream to exactly \p N events so a
   /// bulk decoder can fill the columns in place via streamColumns.
-  /// Existing events are kept for indices below \p N.
+  /// Existing events are kept for indices below \p N; the new slots
+  /// are uninitialized, and the caller writes every one of them or
+  /// truncates the stream to the ones it wrote.
   void resizeStream(unsigned Proc, size_t N);
 
   /// Shrinks processor \p Proc's stream to its first \p N events (used

@@ -108,11 +108,7 @@ bool detail::TextTraceParser::nextLineIsEvent() const {
     return false;
   if (!SawMagic)
     return false; // The first substantive line is the magic line.
-  size_t TokEnd = 0;
-  while (TokEnd < Line.size() && !scan::isSpaceByte(Line[TokEnd]))
-    ++TokEnd;
-  std::string_view Tok = Line.substr(0, TokEnd);
-  return Tok != "procs" && Tok != "region" && Tok != "activity";
+  return !scan::isDirectiveLine(Line);
 }
 
 Error detail::TextTraceParser::consumeLine() {
@@ -140,6 +136,8 @@ Error detail::TextTraceParser::consumeLine() {
   std::string_view Line = scan::skipLeadingSpace(RawLine);
   if (Line.empty() || Line.front() == '#')
     return Error::success();
+  if (SawMagic && !scan::isDirectiveLine(Line))
+    return consumeEvent(Line, LineOffset);
   std::string_view Fields[scan::MaxFields];
   size_t NumFields = scan::splitFields(Line, Fields);
 
@@ -174,47 +172,50 @@ Error detail::TextTraceParser::consumeLine() {
     return Error::success();
   }
 
-  if (Fields[0] == "region" || Fields[0] == "activity") {
-    if (!Result)
-      return fail(ErrorCode::MissingSection,
-                  "'procs' must precede declarations");
-    if (NumFields < 3)
-      return fail(ErrorCode::MalformedRecord,
-                  "declaration needs an id and a name");
-    auto IdOrErr = scan::scanUnsigned(Fields[1]);
-    if (!IdOrErr)
-      return failNumber(IdOrErr.takeError());
-    bool IsRegion = Fields[0] == "region";
-    size_t Declared =
-        IsRegion ? Result->numRegions() : Result->numActivities();
-    if (*IdOrErr != Declared)
-      return fail(ErrorCode::MalformedRecord,
-                  "declaration ids must be dense and in order");
-    if (Declared >= (IsRegion ? Limits.MaxRegions : Limits.MaxActivities))
-      return fail(ErrorCode::LimitExceeded,
-                  "declaration count exceeds the limit");
-    if (Fields[2].size() > Limits.MaxNameBytes)
-      return fail(ErrorCode::LimitExceeded,
-                  "declaration name exceeds the length limit");
-    AllocBytes += scan::nameAllocCost(Fields[2].size());
-    if (AllocBytes > Limits.MaxAllocBytes)
-      return fail(ErrorCode::LimitExceeded,
-                  "name tables exceed the allocation cap");
-    // Register immediately so events can refer to it.
-    if (IsRegion)
-      Result->addRegion(std::string(Fields[2]));
-    else
-      Result->addActivity(std::string(Fields[2]));
-    return Error::success();
-  }
+  // The remaining directives, "region" and "activity", declare names.
+  if (!Result)
+    return fail(ErrorCode::MissingSection,
+                "'procs' must precede declarations");
+  if (NumFields < 3)
+    return fail(ErrorCode::MalformedRecord,
+                "declaration needs an id and a name");
+  auto IdOrErr = scan::scanUnsigned(Fields[1]);
+  if (!IdOrErr)
+    return failNumber(IdOrErr.takeError());
+  bool IsRegion = Fields[0] == "region";
+  size_t Declared =
+      IsRegion ? Result->numRegions() : Result->numActivities();
+  if (*IdOrErr != Declared)
+    return fail(ErrorCode::MalformedRecord,
+                "declaration ids must be dense and in order");
+  if (Declared >= (IsRegion ? Limits.MaxRegions : Limits.MaxActivities))
+    return fail(ErrorCode::LimitExceeded,
+                "declaration count exceeds the limit");
+  if (Fields[2].size() > Limits.MaxNameBytes)
+    return fail(ErrorCode::LimitExceeded,
+                "declaration name exceeds the length limit");
+  AllocBytes += scan::nameAllocCost(Fields[2].size());
+  if (AllocBytes > Limits.MaxAllocBytes)
+    return fail(ErrorCode::LimitExceeded,
+                "name tables exceed the allocation cap");
+  // Register immediately so events can refer to it.
+  if (IsRegion)
+    Result->addRegion(std::string(Fields[2]));
+  else
+    Result->addActivity(std::string(Fields[2]));
+  return Error::success();
+}
 
-  // Everything else is an event record; in lenient mode a malformed
-  // one is dropped instead of aborting the parse.  Attempted records
-  // are counted locally and flushed to Options.Report on exit.
+Error detail::TextTraceParser::consumeEvent(std::string_view Line,
+                                           size_t LineOffset) {
+  // In lenient mode a malformed record is dropped instead of aborting
+  // the parse.  Attempted records are counted locally and flushed to
+  // Options.Report on exit.
+  const ParseLimits &Limits = Options.Limits;
   ++Records;
   Event E;
-  Error RecordErr = scan::parseEventRecord(Fields, NumFields, tables(),
-                                           LineNo, LineOffset, E);
+  Error RecordErr =
+      scan::parseEventRecord(Line, tables(), LineNo, LineOffset, E);
   if (RecordErr) {
     // 'procs' missing is a header problem, not a record problem:
     // nothing later can succeed, so it stays fatal in lenient mode.
@@ -223,12 +224,15 @@ Error detail::TextTraceParser::consumeLine() {
       return Error::success();
     return Error::fromParse(std::move(PE));
   }
+  auto fail = [&](const char *What) {
+    return makeParseError(ErrorCode::LimitExceeded, LineNo, LineOffset,
+                          "trace line %zu: %s", LineNo, What);
+  };
   if (++TotalEvents > Limits.MaxEvents)
-    return fail(ErrorCode::LimitExceeded, "event count exceeds the limit");
+    return fail("event count exceeds the limit");
   AllocBytes += sizeof(Event);
   if (AllocBytes > Limits.MaxAllocBytes)
-    return fail(ErrorCode::LimitExceeded,
-                "event storage exceeds the allocation cap");
+    return fail("event storage exceeds the allocation cap");
   Result->append(E);
   return Error::success();
 }

@@ -34,10 +34,14 @@ using namespace lima::http;
 namespace {
 
 /// Blocking client socket connected to 127.0.0.1:Port; -1 on failure.
-int connectTo(uint16_t Port) {
+/// A nonzero \p RcvBuf sets SO_RCVBUF before connecting, so the TCP
+/// window is negotiated for it.
+int connectTo(uint16_t Port, int RcvBuf = 0) {
   int Fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (Fd < 0)
     return -1;
+  if (RcvBuf != 0)
+    ::setsockopt(Fd, SOL_SOCKET, SO_RCVBUF, &RcvBuf, sizeof(RcvBuf));
   sockaddr_in Addr;
   std::memset(&Addr, 0, sizeof(Addr));
   Addr.sin_family = AF_INET;
@@ -562,6 +566,40 @@ TEST(HttpStreamTest, StopTerminatesChunkedStream) {
   std::string Tail = readToEof(Fd);
   ::close(Fd);
   EXPECT_NE(Tail.find("0\r\n\r\n"), std::string::npos) << Tail;
+}
+
+TEST(HttpStreamTest, StopDeliversFramesPendingBehindBackedUpOutput) {
+  StreamFixture F(64 * 1024);
+  int Fd = connectTo(F.Server.port(), 4096);
+  ASSERT_GE(Fd, 0);
+  setRecvTimeout(Fd, 5000);
+  ASSERT_TRUE(sendAll(Fd, "GET /events HTTP/1.1\r\n\r\n"));
+  std::string Raw = readUntil(Fd, "\r\n\r\n");
+  ASSERT_TRUE(F.waitSubscribers(1));
+  // Stop reading and publish until the hub's pending cap binds: the
+  // server's output is then backed up and frames wait in the hub.
+  const std::string Frame = "data: " + std::string(500, 'z') + "\n\n";
+  for (int I = 0; I != 200000 && F.Hub->framesDropped() == 0; ++I) {
+    F.Hub->publish(Frame);
+    if (I % 256 == 0)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_GT(F.Hub->framesDropped(), 0u);
+  uint64_t Expected = F.Hub->framesPublished() - F.Hub->framesDropped();
+  // stop() blocks while the server drains, which needs this client to
+  // read; give the server time to leave its loop before reading.
+  std::thread Stopper([&F] { F.Server.stop(); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  Raw += readToEof(Fd);
+  Stopper.join();
+  ::close(Fd);
+  std::string Payload = dechunk(Raw.substr(Raw.find("\r\n\r\n") + 4));
+  uint64_t Delivered = 0;
+  for (size_t Pos = Payload.find("data: "); Pos != std::string::npos;
+       Pos = Payload.find("data: ", Pos + 1))
+    ++Delivered;
+  EXPECT_EQ(Delivered, Expected);
+  EXPECT_NE(Raw.find("\r\n0\r\n\r\n"), std::string::npos);
 }
 
 TEST(HttpStreamTest, StalledSubscriberDropsNotBuffers) {

@@ -4,7 +4,10 @@
 # the monitor must survive both, keep window numbering monotonic across
 # segments, and count each reopen in lima_reopen_total.  A second run
 # restarted from the --checkpoint file must replay the final trace
-# without re-reporting any window (no double-counting).
+# without re-reporting any window (no double-counting).  The monitor is
+# stopped while the writer is mid-line: that fragment must not be parsed
+# as a record, while a non-follow EOF still parses a final unterminated
+# line.
 # Usage: monitor_rotation_smoke.sh LIMA_MONITOR_BIN WORK_DIR CHECKER_SH
 set -eu
 
@@ -14,6 +17,7 @@ Checker="$3"
 
 rm -rf "$Work"
 mkdir -p "$Work"
+Work=$(cd "$Work" && pwd -P)
 Trace="$Work/rotating.trace"
 Out="$Work/monitor.out"
 Prom="$Work/monitor.prom"
@@ -33,6 +37,17 @@ wait_for() { # pattern file
   cat "$2" >&2 || true
   [ -n "$Pid" ] && kill "$Pid" 2>/dev/null
   exit 1
+}
+
+# Byte offset the monitor has read from the followed trace, from its
+# descriptor's pos in /proc/<pid>/fdinfo.
+read_pos() {
+  for _fd in /proc/"$Pid"/fd/*; do
+    if [ "$(readlink "$_fd" 2>/dev/null)" = "$Trace" ]; then
+      sed -n 's/^pos:[[:space:]]*//p' /proc/"$Pid"/fdinfo/"${_fd##*/}"
+      return
+    fi
+  done
 }
 
 # Segment A: windows 0..2 complete while following (watermark 3.5),
@@ -115,6 +130,23 @@ EOF
 
 wait_for '"window":7,' "$Out"
 
+# The writer is mid-line when the monitor is stopped: once the monitor
+# has read the fragment, SIGTERM must leave it unparsed (strict mode
+# would otherwise fail it as a wrong field count).
+Whole=$(wc -c < "$Trace")
+printf 'ab 0 2.' >> "$Trace"
+Size=$(wc -c < "$Trace")
+_i=0
+while [ "$(read_pos)" != "$Size" ]; do
+  _i=$((_i + 1))
+  if [ "$_i" -ge 200 ]; then
+    echo "rotation_smoke: monitor never read the partial line" >&2
+    kill "$Pid" 2>/dev/null
+    exit 1
+  fi
+  sleep 0.1
+done
+
 kill -TERM "$Pid"
 Rc=0
 wait "$Pid" || Rc=$?
@@ -149,6 +181,21 @@ grep -q '^LIMACKPT 1$' "$Ck"
 grep -q '^base 7$' "$Ck"
 grep -q '^reported 8$' "$Ck"
 grep -q '^emitted 9$' "$Ck"
+
+grep -q '"msg":"stopped mid-line, partial last line not parsed"' "$Out"
+
+# Without --follow, EOF ends the stream, so the unterminated last line
+# is a record and is parsed (and rejected: exit 4, malformed record).
+Out3="$Work/monitor3.out"
+Rc=0
+"$Monitor" "$Trace" --window 1 --log-json > "$Out3" 2>&1 || Rc=$?
+if [ "$Rc" -ne 4 ] || ! grep -q 'wrong field count' "$Out3"; then
+  echo "rotation_smoke: non-follow EOF did not parse the last line ($Rc)" >&2
+  cat "$Out3" >&2
+  exit 1
+fi
+head -c "$Whole" "$Trace" > "$Trace.whole"
+mv "$Trace.whole" "$Trace"
 
 # Restart against the final trace with the checkpoint: every window it
 # can compute was already reported, so the replay must emit none, yet
