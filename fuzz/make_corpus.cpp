@@ -166,6 +166,12 @@ int main(int Argc, char **Argv) {
   SmallBlocks.BlockEvents = 5;
   std::string V2 = trace::writeTraceBinary(T, SmallBlocks);
   Ok &= write(BinDir / "valid-v2.limb", V2);
+  // A repeated declaration: the second region's name ("loop") is
+  // overwritten with the first's ("main"); same length, so the framing
+  // holds and the reader must reject the name itself.
+  std::string DupRegion = V2;
+  DupRegion.replace(DupRegion.find("loop"), 4, "main");
+  Ok &= write(BinDir / "dup-region.limb", DupRegion);
 
   // Footer intact, index region clipped: offsets no longer line up.
   Ok &= write(BinDir / "truncated-index.limb",

@@ -37,6 +37,7 @@
 #include "support/CrashDump.h"
 #include "support/FaultInjection.h"
 #include "support/FileUtils.h"
+#include "support/FileWatch.h"
 #include "support/Format.h"
 #include "support/Log.h"
 #include "support/Metrics.h"
@@ -48,6 +49,7 @@
 #include "support/Version.h"
 #include "support/raw_ostream.h"
 #include "trace/StreamParser.h"
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -57,7 +59,6 @@
 #include <fcntl.h>
 #include <optional>
 #include <sys/stat.h>
-#include <thread>
 #include <unistd.h>
 
 using namespace lima;
@@ -66,9 +67,24 @@ namespace {
 
 volatile std::sig_atomic_t DumpRequested = 0;
 volatile std::sig_atomic_t StopRequested = 0;
+/// The follow loop's wait, ended early by the handlers below whichever
+/// thread the kernel runs them on.
+std::atomic<const FileWatch *> Waiter{nullptr};
+static_assert(std::atomic<const FileWatch *>::is_always_lock_free,
+              "signal handlers may only touch lock-free atomics");
 
-void onSigUsr1(int) { DumpRequested = 1; }
-void onStopSignal(int) { StopRequested = 1; }
+void wakeWaiter() {
+  if (const FileWatch *W = Waiter.load(std::memory_order_relaxed))
+    W->wake();
+}
+void onSigUsr1(int) {
+  DumpRequested = 1;
+  wakeWaiter();
+}
+void onStopSignal(int) {
+  StopRequested = 1;
+  wakeWaiter();
+}
 
 struct MonitorOptions {
   double AlertThreshold = 0.0; ///< 0 disables alerting.
@@ -191,7 +207,10 @@ int main(int Argc, char **Argv) {
                    "euclidean");
   Parser.addFlag("follow",
                  "keep tailing the file after EOF (stdin always streams)");
-  Parser.addOption("interval-ms", "poll cadence while following", "200");
+  Parser.addOption("interval-ms",
+                   "longest wait between checks when no change "
+                   "notification arrives",
+                   "200");
   Parser.addOption("idle-exit-ms",
                    "with --follow: finish after this long without new "
                    "data (0 = follow forever)",
@@ -332,10 +351,20 @@ int main(int Argc, char **Argv) {
       OpenIno = St.st_ino;
     }
   }
+  // A followed file is waited on in Watch.wait(): it returns when the
+  // file changes, when a signal handler wakes it, or after
+  // --interval-ms.  The watch goes up before the first read, so an
+  // append landing between that read's EOF and the watch cannot wait
+  // out a whole interval.
+  FileWatch Watch;
+  Waiter.store(&Watch);
+  if (Follow && !Stdin)
+    Watch.watch("monitor.watch", Path);
   // sigaction without SA_RESTART: std::signal on glibc restarts a
   // blocking read() after the handler runs, deferring the metrics dump
-  // until new data arrives; without it read() fails with EINTR and the
-  // loop services DumpRequested promptly even on a quiet stream.
+  // until new data arrives on a stdin stream; without it read() fails
+  // with EINTR and the loop services DumpRequested promptly even on a
+  // quiet stream.  A follow wait is woken through Watch instead.
   struct sigaction DumpAction;
   std::memset(&DumpAction, 0, sizeof(DumpAction));
   DumpAction.sa_handler = onSigUsr1;
@@ -429,7 +458,19 @@ int main(int Argc, char **Argv) {
                      logging::field("error", Err.message())});
   };
 
-  auto consumeEvents = [&]() {
+  using Clock = std::chrono::steady_clock;
+  // Stamped once per read cycle, just before the read: the idle clock
+  // (--idle-exit-ms) and the publish lag both measure from it.
+  Clock::time_point CycleStart = Clock::now();
+  Clock::time_point LastData = CycleStart; ///< Last read that got bytes.
+  metrics::Histogram &PublishLag = metrics::histogram(
+      "lima.monitor.publish_lag_seconds",
+      metrics::Histogram::exponentialBounds(1e-5, 4.0, 10));
+
+  // Live is true when the events came from a read in this cycle; a
+  // flush at a segment's end or at exit publishes windows no read
+  // closed, so those stay out of the publish lag.
+  auto consumeEvents = [&](bool Live) {
     for (const trace::Event &E : Events) {
       if (!Analyzer) {
         // First event: the header tables are complete (declarations
@@ -448,13 +489,13 @@ int main(int Argc, char **Argv) {
     if (!Analyzer)
       return;
     LIMA_SPAN("monitor.drain");
-    auto T0 = std::chrono::steady_clock::now();
+    Clock::time_point T0 = Clock::now();
     std::vector<core::WindowResult> Done = Analyzer->drainCompleted();
     uint64_t NowDropped = Parse.Report ? Parse.Report->DroppedRecords : 0;
     uint64_t DropDelta = NowDropped - AttributedDrops;
     if (!Done.empty())
       AttributedDrops = NowDropped;
-    bool Reported = false;
+    unsigned Reported = 0;
     for (core::WindowResult &W : Done) {
       W.Index += WindowIndexBase;
       if (static_cast<int64_t>(W.Index) <= LastReported) {
@@ -466,22 +507,26 @@ int main(int Argc, char **Argv) {
       DropDelta = 0;
       LastReported = static_cast<int64_t>(W.Index);
       ++WindowsEmitted;
-      Reported = true;
+      ++Reported;
     }
     if (!Done.empty()) {
-      double Sec = std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - T0)
-                       .count();
+      Clock::time_point Published = Clock::now();
       metrics::histogram("lima.monitor.drain_seconds",
                          metrics::Histogram::exponentialBounds(1e-6, 10.0, 8))
-          .observe(Sec);
+          .observe(std::chrono::duration<double>(Published - T0).count());
+      if (Live) {
+        double Lag =
+            std::chrono::duration<double>(Published - CycleStart).count();
+        for (unsigned I = 0; I != Reported; ++I)
+          PublishLag.observe(Lag);
+      }
     }
     metrics::gauge("lima.monitor.watermark_seconds")
         .set(Analyzer->watermark());
     if (Parse.Report)
       DroppedRecords.store(Parse.Report->DroppedRecords,
                            std::memory_order_relaxed);
-    if (Reported)
+    if (Reported != 0)
       writeCheckpoint();
   };
 
@@ -517,7 +562,7 @@ int main(int Argc, char **Argv) {
   // from where the old segment left off.
   auto beginSegment = [&](const char *Reason) {
     ExitOnErr(Stream->finish(Events));
-    consumeEvents();
+    consumeEvents(/*Live=*/false);
     reportRemaining();
     WindowIndexBase = static_cast<uint64_t>(LastReported + 1);
     EventsParsedPrior += Stream->eventsParsed();
@@ -576,8 +621,29 @@ int main(int Argc, char **Argv) {
                   {logging::field("address", Status.address())});
   }
 
+  // Wake-ups of the follow wait, indexed by WakeCause.
+  metrics::Counter *const Wakeups[] = {
+      &metrics::counter("lima.monitor.wakeups_total{cause=\"notify\"}"),
+      &metrics::counter("lima.monitor.wakeups_total{cause=\"timeout\"}"),
+      &metrics::counter("lima.monitor.wakeups_total{cause=\"signal\"}")};
+  // Waits for the next reason to read again: a change to the followed
+  // file, a signal, or --interval-ms — cut short when --idle-exit-ms
+  // runs out first.  Every wake is followed by reads to EOF, so a
+  // spurious or coalesced notification costs one idle read.
+  auto waitForChange = [&] {
+    uint64_t TimeoutMs = IntervalMs;
+    if (IdleExitMs != 0) {
+      auto IdleMs = static_cast<uint64_t>(
+          std::chrono::duration_cast<std::chrono::milliseconds>(CycleStart -
+                                                                LastData)
+              .count());
+      TimeoutMs = std::min(TimeoutMs,
+                           IdleExitMs > IdleMs ? IdleExitMs - IdleMs : 0);
+    }
+    Wakeups[static_cast<int>(Watch.wait(TimeoutMs))]->add(1);
+  };
+
   char Buf[1 << 16];
-  uint64_t IdleMs = 0;
   for (;;) {
     if (DumpRequested) {
       DumpRequested = 0;
@@ -585,6 +651,7 @@ int main(int Argc, char **Argv) {
     }
     if (StopRequested)
       break;
+    CycleStart = Clock::now();
     // EINTR retries in place — unless a signal flagged work above, in
     // which case the loop must come back around to service it (the
     // handlers are installed without SA_RESTART for exactly this).
@@ -597,7 +664,7 @@ int main(int Argc, char **Argv) {
       if (retry::isTransientErrno(errno)) {
         logging::warn("transient read error, retrying",
                       {logging::field("error", std::strerror(errno))});
-        std::this_thread::sleep_for(std::chrono::milliseconds(IntervalMs));
+        waitForChange();
         continue;
       }
       ExitOnErr(makeStringError("read failed: %s", std::strerror(errno)));
@@ -607,21 +674,25 @@ int main(int Argc, char **Argv) {
       // rotated to a new inode, or be truncated in place.
       if (!Follow || Stdin)
         break;
-      if (IdleExitMs != 0 && IdleMs >= IdleExitMs)
+      // Idle time is wall time since the last read that got bytes, not
+      // a count of waits: a notification that brought no bytes (a
+      // touch, a rotation race) ends a wait early.
+      if (IdleExitMs != 0 &&
+          CycleStart - LastData >= std::chrono::milliseconds(IdleExitMs))
         break;
       struct stat PathSt;
       if (::stat(Path.c_str(), &PathSt) != 0) {
-        // Mid-rotation gap: the path is briefly gone.  Keep polling —
-        // the retired descriptor stays valid meanwhile.
-        std::this_thread::sleep_for(std::chrono::milliseconds(IntervalMs));
-        IdleMs += IntervalMs;
+        // Mid-rotation gap: the path is briefly gone.  Keep waiting —
+        // the directory watch reports the new file, and the retired
+        // descriptor stays valid meanwhile.
+        waitForChange();
         continue;
       }
       if (PathSt.st_dev != OpenDev || PathSt.st_ino != OpenIno) {
         // Rotated: a different file sits at the path.  Open it first —
         // only a successful open retires the old segment, so transient
         // open failures (EMFILE, another rotation race) just retry on
-        // the next poll with nothing lost.
+        // the next wake with nothing lost.
         int NewFd;
         if (fault::Fault F = fault::check("monitor.open")) {
           errno = F.errnoValue() ? F.errnoValue() : EIO;
@@ -633,8 +704,7 @@ int main(int Argc, char **Argv) {
           logging::warn("reopen after rotation failed, retrying",
                         {logging::field("path", Path),
                          logging::field("error", std::strerror(errno))});
-          std::this_thread::sleep_for(std::chrono::milliseconds(IntervalMs));
-          IdleMs += IntervalMs;
+          waitForChange();
           continue;
         }
         beginSegment("rotate");
@@ -645,8 +715,10 @@ int main(int Argc, char **Argv) {
           OpenDev = NewSt.st_dev;
           OpenIno = NewSt.st_ino;
         }
+        // Watch before read, as for the first file.
+        Watch.watch("monitor.watch", Path);
         Consumed = 0;
-        IdleMs = 0;
+        LastData = CycleStart;
         logging::info("trace rotated, following new file",
                       {logging::field("path", Path)});
         continue;
@@ -659,23 +731,22 @@ int main(int Argc, char **Argv) {
           ExitOnErr(makeStringError("seek after truncation failed: %s",
                                     std::strerror(errno)));
         Consumed = 0;
-        IdleMs = 0;
+        LastData = CycleStart;
         logging::info("trace truncated, restarting from start",
                       {logging::field("path", Path)});
         continue;
       }
-      std::this_thread::sleep_for(std::chrono::milliseconds(IntervalMs));
-      IdleMs += IntervalMs;
+      waitForChange();
       continue;
     }
-    IdleMs = 0;
+    LastData = CycleStart;
     Consumed += static_cast<uint64_t>(N);
     {
       LIMA_SPAN("monitor.feed");
       ExitOnErr(Stream->feed(std::string_view(Buf, static_cast<size_t>(N)),
                              Events));
     }
-    consumeEvents();
+    consumeEvents(/*Live=*/true);
     outs().flush();
   }
 
@@ -688,7 +759,7 @@ int main(int Argc, char **Argv) {
       logging::warn("stopped mid-line, partial last line not parsed",
                     {logging::field("bytes", Tail)});
   ExitOnErr(Stream->finish(Events));
-  consumeEvents();
+  consumeEvents(/*Live=*/false);
   reportRemaining();
   writeCheckpoint();
   if (!Stdin)
@@ -714,6 +785,7 @@ int main(int Argc, char **Argv) {
   // Graceful last: scrapers in flight get their response before the
   // socket goes away.
   Status.stop();
+  Waiter.store(nullptr);
 
   uint64_t FinalWindows = WindowsEmitted.load(std::memory_order_relaxed);
   if (FinalWindows < MinWindows)

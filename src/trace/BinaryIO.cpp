@@ -500,6 +500,7 @@ Error detail::parseBinaryHeader(std::string_view Data,
     return makeCodedError(ErrorCode::LimitExceeded,
                           "binary trace: region count exceeds the limit");
   for (uint32_t I = 0; I != *RegionsOrErr; ++I) {
+    size_t NameOffset = In.offset();
     auto NameOrErr = In.readString();
     if (auto Err = NameOrErr.takeError())
       return Err;
@@ -507,6 +508,11 @@ Error detail::parseBinaryHeader(std::string_view Data,
       return makeCodedError(ErrorCode::LimitExceeded,
                             "binary trace: name tables exceed the "
                             "allocation cap");
+    if (T.findRegion(*NameOrErr) != Trace::InvalidId)
+      return makeParseError(ErrorCode::DuplicateDeclaration, 0, NameOffset,
+                            "binary trace: duplicate region name at "
+                            "offset %zu",
+                            NameOffset);
     T.addRegion(std::move(*NameOrErr));
   }
   auto ActivitiesOrErr = In.read<uint32_t>();
@@ -516,6 +522,7 @@ Error detail::parseBinaryHeader(std::string_view Data,
     return makeCodedError(ErrorCode::LimitExceeded,
                           "binary trace: activity count exceeds the limit");
   for (uint32_t I = 0; I != *ActivitiesOrErr; ++I) {
+    size_t NameOffset = In.offset();
     auto NameOrErr = In.readString();
     if (auto Err = NameOrErr.takeError())
       return Err;
@@ -523,6 +530,11 @@ Error detail::parseBinaryHeader(std::string_view Data,
       return makeCodedError(ErrorCode::LimitExceeded,
                             "binary trace: name tables exceed the "
                             "allocation cap");
+    if (T.findActivity(*NameOrErr) != Trace::InvalidId)
+      return makeParseError(ErrorCode::DuplicateDeclaration, 0, NameOffset,
+                            "binary trace: duplicate activity name at "
+                            "offset %zu",
+                            NameOffset);
     T.addActivity(std::move(*NameOrErr));
   }
 

@@ -77,7 +77,7 @@ Error StreamParser::parseLine(std::string_view RawLine,
   if (!IdOrErr)
     return failNumber(IdOrErr.takeError());
   bool IsRegion = Fields[0] == "region";
-  std::vector<std::string> &Table = IsRegion ? Regions : Activities;
+  NameTable &Table = IsRegion ? Regions : Activities;
   if (*IdOrErr != Table.size())
     return fail(ErrorCode::MalformedRecord,
                 "declaration ids must be dense and in order");
@@ -91,7 +91,10 @@ Error StreamParser::parseLine(std::string_view RawLine,
   if (AllocBytes > Limits.MaxAllocBytes)
     return fail(ErrorCode::LimitExceeded,
                 "name tables exceed the allocation cap");
-  Table.push_back(std::string(Fields[2]));
+  if (!Table.insert(std::string(Fields[2])))
+    return fail(ErrorCode::DuplicateDeclaration,
+                IsRegion ? "duplicate region name"
+                         : "duplicate activity name");
   return Error::success();
 }
 

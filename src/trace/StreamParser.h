@@ -25,6 +25,7 @@
 #include "support/Error.h"
 #include "support/ParseLimits.h"
 #include "trace/Event.h"
+#include "trace/Trace.h"
 #include <string>
 #include <string_view>
 #include <vector>
@@ -59,8 +60,12 @@ public:
   /// events can only follow it, so seeing any event implies this).
   bool headerComplete() const { return SawProcs; }
   unsigned numProcs() const { return NumProcs; }
-  const std::vector<std::string> &regionNames() const { return Regions; }
-  const std::vector<std::string> &activityNames() const { return Activities; }
+  const std::vector<std::string> &regionNames() const {
+    return Regions.names();
+  }
+  const std::vector<std::string> &activityNames() const {
+    return Activities.names();
+  }
 
   /// 1-based number of the last complete line consumed.
   size_t lineNumber() const { return LineNo; }
@@ -78,8 +83,8 @@ private:
   bool SawMagic = false;
   bool SawProcs = false;
   unsigned NumProcs = 0;
-  std::vector<std::string> Regions;
-  std::vector<std::string> Activities;
+  NameTable Regions;
+  NameTable Activities;
   uint64_t TotalEvents = 0;
   uint64_t AllocBytes = 0;
 };

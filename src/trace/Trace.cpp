@@ -15,40 +15,47 @@ Trace::Trace(unsigned NumProcs) : Streams(NumProcs) {
   assert(NumProcs > 0 && "trace needs at least one processor");
 }
 
+bool NameTable::insert(std::string Name) {
+  auto [It, Added] =
+      Ids.try_emplace(Name, static_cast<uint32_t>(Names.size()));
+  if (Added)
+    Names.push_back(std::move(Name));
+  return Added;
+}
+
+uint32_t NameTable::find(std::string_view Name) const {
+  auto It = Ids.find(Name);
+  return It == Ids.end() ? NotFound : It->second;
+}
+
 uint32_t Trace::addRegion(std::string Name) {
-  assert(findRegion(Name) == InvalidId && "duplicate region name");
-  RegionNames.push_back(std::move(Name));
-  return static_cast<uint32_t>(RegionNames.size() - 1);
+  [[maybe_unused]] bool Added = Regions.insert(std::move(Name));
+  assert(Added && "duplicate region name");
+  return static_cast<uint32_t>(Regions.size() - 1);
 }
 
 uint32_t Trace::addActivity(std::string Name) {
-  assert(findActivity(Name) == InvalidId && "duplicate activity name");
-  ActivityNames.push_back(std::move(Name));
-  return static_cast<uint32_t>(ActivityNames.size() - 1);
+  [[maybe_unused]] bool Added = Activities.insert(std::move(Name));
+  assert(Added && "duplicate activity name");
+  return static_cast<uint32_t>(Activities.size() - 1);
 }
 
 const std::string &Trace::regionName(uint32_t Id) const {
-  assert(Id < RegionNames.size() && "region id out of range");
-  return RegionNames[Id];
+  assert(Id < Regions.size() && "region id out of range");
+  return Regions[Id];
 }
 
 const std::string &Trace::activityName(uint32_t Id) const {
-  assert(Id < ActivityNames.size() && "activity id out of range");
-  return ActivityNames[Id];
+  assert(Id < Activities.size() && "activity id out of range");
+  return Activities[Id];
 }
 
 uint32_t Trace::findRegion(std::string_view Name) const {
-  for (size_t I = 0; I != RegionNames.size(); ++I)
-    if (RegionNames[I] == Name)
-      return static_cast<uint32_t>(I);
-  return InvalidId;
+  return Regions.find(Name);
 }
 
 uint32_t Trace::findActivity(std::string_view Name) const {
-  for (size_t I = 0; I != ActivityNames.size(); ++I)
-    if (ActivityNames[I] == Name)
-      return static_cast<uint32_t>(I);
-  return InvalidId;
+  return Activities.find(Name);
 }
 
 void Trace::append(const Event &E) {
@@ -56,11 +63,11 @@ void Trace::append(const Event &E) {
   switch (E.Kind) {
   case EventKind::RegionEnter:
   case EventKind::RegionExit:
-    assert(E.Id < RegionNames.size() && "event region out of range");
+    assert(E.Id < Regions.size() && "event region out of range");
     break;
   case EventKind::ActivityBegin:
   case EventKind::ActivityEnd:
-    assert(E.Id < ActivityNames.size() && "event activity out of range");
+    assert(E.Id < Activities.size() && "event activity out of range");
     break;
   case EventKind::MessageSend:
   case EventKind::MessageRecv:

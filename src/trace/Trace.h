@@ -35,11 +35,42 @@
 #include <memory>
 #include <new>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 namespace lima {
 namespace trace {
+
+/// Append-only table of unique names; a name's id is its position.
+/// Lookup by name is one hash probe, so declaring N names and checking
+/// each for a repeat (every trace reader does) costs O(N), not O(N^2).
+class NameTable {
+public:
+  static constexpr uint32_t NotFound = UINT32_MAX;
+
+  /// Appends \p Name unless the table already holds it; true if added.
+  bool insert(std::string Name);
+
+  /// Id of \p Name, or NotFound.
+  uint32_t find(std::string_view Name) const;
+
+  size_t size() const { return Names.size(); }
+  const std::string &operator[](size_t Id) const { return Names[Id]; }
+  const std::vector<std::string> &names() const { return Names; }
+
+private:
+  struct Hash {
+    using is_transparent = void;
+    size_t operator()(std::string_view S) const {
+      return std::hash<std::string_view>{}(S);
+    }
+  };
+
+  std::vector<std::string> Names;
+  std::unordered_map<std::string, uint32_t, Hash, std::equal_to<>> Ids;
+};
 
 /// A complete post-mortem trace of one program execution.
 ///
@@ -180,18 +211,21 @@ public:
   /// Registers an activity name, returning its id.  Names must be unique.
   uint32_t addActivity(std::string Name);
 
-  size_t numRegions() const { return RegionNames.size(); }
-  size_t numActivities() const { return ActivityNames.size(); }
+  size_t numRegions() const { return Regions.size(); }
+  size_t numActivities() const { return Activities.size(); }
 
   const std::string &regionName(uint32_t Id) const;
   const std::string &activityName(uint32_t Id) const;
-  const std::vector<std::string> &regionNames() const { return RegionNames; }
+  const std::vector<std::string> &regionNames() const {
+    return Regions.names();
+  }
   const std::vector<std::string> &activityNames() const {
-    return ActivityNames;
+    return Activities.names();
   }
 
-  /// Looks up a region id by name; SIZE_MAX sentinel when absent.
-  static constexpr uint32_t InvalidId = UINT32_MAX;
+  /// Looks up a region id by name (one hash probe); InvalidId when
+  /// absent.
+  static constexpr uint32_t InvalidId = NameTable::NotFound;
   uint32_t findRegion(std::string_view Name) const;
   uint32_t findActivity(std::string_view Name) const;
 
@@ -229,8 +263,8 @@ public:
   Error validate() const;
 
 private:
-  std::vector<std::string> RegionNames;
-  std::vector<std::string> ActivityNames;
+  NameTable Regions;
+  NameTable Activities;
   std::vector<Stream> Streams;
 };
 

@@ -198,6 +198,11 @@ Error detail::TextTraceParser::consumeLine() {
   if (AllocBytes > Limits.MaxAllocBytes)
     return fail(ErrorCode::LimitExceeded,
                 "name tables exceed the allocation cap");
+  if ((IsRegion ? Result->findRegion(Fields[2])
+                : Result->findActivity(Fields[2])) != Trace::InvalidId)
+    return fail(ErrorCode::DuplicateDeclaration,
+                IsRegion ? "duplicate region name"
+                         : "duplicate activity name");
   // Register immediately so events can refer to it.
   if (IsRegion)
     Result->addRegion(std::string(Fields[2]));
@@ -391,6 +396,11 @@ Expected<Trace> trace::parseTraceTextLegacy(std::string_view Text,
       if (AllocBytes > Limits.MaxAllocBytes)
         return fail(ErrorCode::LimitExceeded,
                     "name tables exceed the allocation cap");
+      if ((IsRegion ? Result->findRegion(Fields[2])
+                    : Result->findActivity(Fields[2])) != Trace::InvalidId)
+        return fail(ErrorCode::DuplicateDeclaration,
+                    IsRegion ? "duplicate region name"
+                             : "duplicate activity name");
       // Register immediately so events can refer to it.
       if (IsRegion)
         Result->addRegion(std::string(Fields[2]));

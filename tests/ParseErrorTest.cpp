@@ -18,6 +18,7 @@
 #include "support/FileUtils.h"
 #include "support/ParseLimits.h"
 #include "trace/BinaryIO.h"
+#include "trace/StreamParser.h"
 #include "trace/TraceIO.h"
 #include "gtest/gtest.h"
 
@@ -79,6 +80,9 @@ TEST(ParseErrorTest, TraceTextFixtures) {
       {"fuzz_trace_text/unknown-record.trace", ErrorCode::MalformedRecord, 5},
       {"fuzz_trace_text/sparse-declaration.trace", ErrorCode::MalformedRecord,
        3},
+      {"fuzz_trace_text/dup-region.trace", ErrorCode::DuplicateDeclaration, 4},
+      {"fuzz_trace_text/dup-activity.trace", ErrorCode::DuplicateDeclaration,
+       6},
   };
   for (const Case &C : Cases) {
     SCOPED_TRACE(C.Name);
@@ -88,6 +92,47 @@ TEST(ParseErrorTest, TraceTextFixtures) {
     EXPECT_EQ(PE.Line, C.Line);
     EXPECT_EQ(PE.Offset, lineStart(Text, C.Line));
   }
+}
+
+// A repeated region or activity name is a DuplicateDeclaration at the
+// repeat in every reader (it used to reach Trace::addRegion's assert):
+// the sharded and legacy text parsers are held to the same answer by
+// IngestEquivalenceTest's corpus replay.
+TEST(ParseErrorTest, DuplicateNames) {
+  for (const char *Name : {"fuzz_trace_text/dup-region.trace",
+                           "fuzz_trace_text/dup-activity.trace"}) {
+    SCOPED_TRACE(Name);
+    std::string Text = fixture(Name);
+    ParseError Batch = takeParseError(trace::parseTraceText(Text));
+    trace::StreamParser Stream;
+    std::vector<Event> Events;
+    Error Err = Stream.feed(Text, Events);
+    ASSERT_TRUE(static_cast<bool>(Err));
+    ParseError Streamed = Err.toParseError();
+    EXPECT_EQ(Streamed.Code, ErrorCode::DuplicateDeclaration);
+    EXPECT_EQ(Streamed.Line, Batch.Line);
+    EXPECT_EQ(Streamed.Offset, Batch.Offset);
+  }
+
+  // LIMB v2 fixture: the second region name ("loop") overwritten with
+  // the first ("main"); the error points at the repeat's length field.
+  std::string V2 = fixture("fuzz_trace_binary/dup-region.limb");
+  ParseError PE = takeParseError(trace::parseTraceBinary(V2));
+  EXPECT_EQ(PE.Code, ErrorCode::DuplicateDeclaration);
+  EXPECT_EQ(PE.Offset, V2.find("main", V2.find("main") + 1) - 4);
+
+  // LIMB v1, same header layout: a repeated activity name.
+  Trace T(1);
+  T.addRegion("main");
+  T.addActivity("comp");
+  T.addActivity("comm");
+  std::string V1 = trace::writeTraceBinaryV1(T);
+  size_t Second = V1.find("comm");
+  V1.replace(Second, 4, "comp");
+  PE = takeParseError(trace::parseTraceBinary(V1));
+  EXPECT_EQ(PE.Code, ErrorCode::DuplicateDeclaration);
+  EXPECT_EQ(PE.Offset, Second - 4);
+  EXPECT_EQ(exitCodeFor(PE.Code), 5);
 }
 
 TEST(ParseErrorTest, CubeFixtures) {
