@@ -217,7 +217,7 @@ Expected<Trace> parseInShards(std::string_view Text,
   detail::TextTraceParser Parser(Text, Options);
   if (auto Err = Parser.parsePrologue())
     return Err;
-  scan::EventTables Tables = Parser.tables();
+  scan::EventTables Tables = Parser.grammar().tables();
   size_t EvStart = Parser.position();
   size_t Remain = Text.size() - EvStart;
   unsigned NumShards = 1;
@@ -284,8 +284,8 @@ Expected<Trace> parseInShards(std::string_view Text,
   // passing these checks proves no shard can trip either limit.
   const ParseLimits &Limits = Options.Limits;
   if (SawDirective ||
-      Parser.totalEvents() + RemainLines > Limits.MaxEvents ||
-      Parser.allocBytes() + RemainLines * sizeof(Event) >
+      Parser.grammar().totalEvents() + RemainLines > Limits.MaxEvents ||
+      Parser.grammar().allocBytes() + RemainLines * sizeof(Event) >
           Limits.MaxAllocBytes) {
     LIMA_METRIC_COUNT("lima.ingest.fallback_total", 1);
     if (auto Err = Parser.parseAll())
@@ -371,8 +371,7 @@ Expected<Trace> parseInShards(std::string_view Text,
       T.truncateStream(P, Cursor[P]);
     MergedEvents += Cursor[P] - Base[P];
   }
-  Parser.noteShardedSection(RemainLines, MergedEvents,
-                            MergedEvents * sizeof(Event));
+  Parser.noteShardedSection(RemainLines, MergedEvents);
   return Parser.take();
 }
 

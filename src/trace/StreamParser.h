@@ -9,10 +9,18 @@
 /// chunks as they arrive (a tailed file, a pipe) and it emits events as
 /// soon as their line is complete, without materializing a Trace.  The
 /// grammar, limit checks, error taxonomy and lenient-mode drop rules
-/// are the same as parseTraceText's; the only intentional difference is
-/// that the stream has no end until finish(), so "missing header"
-/// diagnostics are deferred to finish() and a trailing unterminated
-/// line is parsed there.
+/// are parseTraceText's: both drive the one detail::LineGrammar
+/// (TextParserDetail.h), and this class adds only the byte buffer,
+/// partial-line handling and stream offsets.  Two differences are
+/// intentional:
+///
+///  - the stream has no end until finish(), so "missing header"
+///    diagnostics are deferred to finish() and a trailing unterminated
+///    line is parsed there;
+///  - the stream keeps no events, so it charges no event storage
+///    against ParseLimits::MaxAllocBytes (the processor table and the
+///    name tables are charged as in batch).  A cap that batch exceeds
+///    on an event line therefore does not stop the stream.
 ///
 /// Intended consumer: lima_monitor, which forwards emitted events into
 /// a core::WindowedAnalyzer.
@@ -25,7 +33,7 @@
 #include "support/Error.h"
 #include "support/ParseLimits.h"
 #include "trace/Event.h"
-#include "trace/Trace.h"
+#include "trace/TextParserDetail.h"
 #include <string>
 #include <string_view>
 #include <vector>
@@ -58,35 +66,37 @@ public:
 
   /// True once the 'procs' line has been parsed (declarations and
   /// events can only follow it, so seeing any event implies this).
-  bool headerComplete() const { return SawProcs; }
-  unsigned numProcs() const { return NumProcs; }
+  bool headerComplete() const { return Grammar.sawProcs(); }
+  unsigned numProcs() const { return Grammar.numProcs(); }
   const std::vector<std::string> &regionNames() const {
-    return Regions.names();
+    return Grammar.regions().names();
   }
   const std::vector<std::string> &activityNames() const {
-    return Activities.names();
+    return Grammar.activities().names();
   }
 
   /// 1-based number of the last complete line consumed.
-  size_t lineNumber() const { return LineNo; }
-  uint64_t eventsParsed() const { return TotalEvents; }
+  size_t lineNumber() const { return Grammar.lineNumber(); }
+  uint64_t eventsParsed() const { return Grammar.totalEvents(); }
 
 private:
-  Error parseLine(std::string_view RawLine, std::vector<Event> &Out);
-  Error parseEvent(std::string_view Line, size_t LineOffset,
-                   std::vector<Event> &Out);
+  /// Pushes accepted events into the vector of the current call.
+  struct VectorSink {
+    static constexpr uint64_t EventBytes = 0;
+    std::vector<Event> *Out = nullptr;
 
-  ParseOptions Options;
+    void procs(unsigned) {}
+    void event(const Event &E) { Out->push_back(E); }
+    void dropped();
+  };
+
+  /// Ends a feed()/finish() call: publishes its records and the events
+  /// it emitted since \p EventsBefore, then returns \p Err.
+  Error endCall(Error Err, uint64_t EventsBefore);
+
+  detail::LineGrammar<VectorSink> Grammar;
   std::string Buffer;      ///< Bytes of the current incomplete line.
   size_t StreamOffset = 0; ///< Byte offset of Buffer's start in the stream.
-  size_t LineNo = 0;
-  bool SawMagic = false;
-  bool SawProcs = false;
-  unsigned NumProcs = 0;
-  NameTable Regions;
-  NameTable Activities;
-  uint64_t TotalEvents = 0;
-  uint64_t AllocBytes = 0;
 };
 
 } // namespace trace

@@ -5,10 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The allocation-free scanning core shared by every LIMATRACE text
-/// consumer — the batch parser (parseTraceText), the sharded parallel
-/// parser (parseTraceTextParallel) and the incremental StreamParser.
-/// Four layers:
+/// The allocation-free scanning core under every LIMATRACE text
+/// consumer.  detail::LineGrammar (TextParserDetail.h), the one line
+/// grammar behind the batch parser (parseTraceText) and the incremental
+/// StreamParser, builds on all of it; the sharded parser's shard loop
+/// (parseTraceTextParallel) calls the classifier and the event-record
+/// grammar directly.  Four layers:
 ///
 ///  - isDirectiveLine: the one classifier that decides whether a line
 ///    after the magic line is a header directive or an event record;
@@ -22,12 +24,12 @@
 ///    floats, out-of-range and subnormal handling all route through the
 ///    old code);
 ///  - parseEventRecord: the one event-record grammar, shared so the
-///    three consumers cannot drift apart in error codes, messages or
-///    range checks.  It first runs a single cursor over the line
-///    (scanEventCursor), which accepts exactly the lines whose every
-///    token from_chars consumes whole and that pass every range check;
-///    any other line is split and run through the ordered checks
-///    (parseEventFields), which produce the error.  eventProcField
+///    line grammar and the shard loop cannot drift apart in error
+///    codes, messages or range checks.  It first runs a single cursor
+///    over the line (scanEventCursor), which accepts exactly the lines
+///    whose every token from_chars consumes whole and that pass every
+///    range check; any other line is split and run through the ordered
+///    checks (parseEventFields), which produce the error.  eventProcField
 ///    reads just the processor field the way the grammar does, for
 ///    the sharded parser's per-processor line counts.
 ///
@@ -164,9 +166,8 @@ inline bool isDirectiveLine(std::string_view Line) {
   return Tok == "procs" || Tok == "region" || Tok == "activity";
 }
 
-/// The name tables an event record validates against.  Parsers that
-/// build a Trace pass the trace's table sizes; the stream parser passes
-/// its own vectors' sizes.
+/// The table sizes an event record validates against, as the line
+/// grammar's header state has them.
 struct EventTables {
   bool SawProcs = false;
   unsigned NumProcs = 0;

@@ -58,6 +58,11 @@ uint32_t Trace::findActivity(std::string_view Name) const {
   return Activities.find(Name);
 }
 
+void Trace::setNames(NameTable RegionNames, NameTable ActivityNames) {
+  Regions = std::move(RegionNames);
+  Activities = std::move(ActivityNames);
+}
+
 void Trace::append(const Event &E) {
   assert(E.Proc < Streams.size() && "event processor out of range");
   switch (E.Kind) {
@@ -74,6 +79,10 @@ void Trace::append(const Event &E) {
     assert(E.Id < Streams.size() && "message peer out of range");
     break;
   }
+  appendUnchecked(E);
+}
+
+void Trace::appendUnchecked(const Event &E) {
   Stream &S = Streams[E.Proc];
   S.Times.push_back(E.Time);
   S.Kinds.push_back(E.Kind);

@@ -229,9 +229,17 @@ public:
   uint32_t findRegion(std::string_view Name) const;
   uint32_t findActivity(std::string_view Name) const;
 
+  /// Installs the name tables of a parser that range-checked every
+  /// event against them itself, replacing any registered so far.
+  void setNames(NameTable Regions, NameTable Activities);
+
   /// Appends \p E to its processor's stream.  Asserts on out-of-range
   /// processor/region/activity ids.
   void append(const Event &E);
+
+  /// append() without the id checks, for a parser that has checked \p E
+  /// against the name tables it installs later with setNames.
+  void appendUnchecked(const Event &E);
 
   /// Events of processor \p Proc in append order.
   EventsRef events(unsigned Proc) const;

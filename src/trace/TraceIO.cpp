@@ -6,13 +6,14 @@
 //
 // Two generations of the text parser live here on purpose:
 //
-//  - parseTraceText: the shipping single-pass scanner.  One walk over
-//    the mapped bytes, an in-place field cursor (no per-line vector),
-//    from_chars number parsing (TextScan.h) and the tightened
-//    ParseLimits accounting.  The sequential engine is
-//    detail::TextTraceParser so the sharded parser (ParallelParse.cpp)
-//    can reuse it for the header prologue and as its exact-semantics
-//    fallback.
+//  - parseTraceText: the shipping single-pass scanner.
+//    detail::TextTraceParser walks the mapped bytes line by line and
+//    hands each line to detail::LineGrammar (TextParserDetail.h), the
+//    one LIMATRACE grammar, which StreamParser drives as well.  The
+//    sharded parser (ParallelParse.cpp) reuses TextTraceParser for the
+//    header prologue and as its exact-semantics fallback, and parses
+//    its shards with the grammar's event-record core
+//    (scan::parseEventRecord, TextScan.h).
 //
 //  - parseTraceTextLegacy: the frozen pre-fast-path implementation
 //    (split-into-vectors, strtod).  It is the reference the golden
@@ -89,190 +90,53 @@ size_t lineEnd(std::string_view Text, size_t Pos) {
 
 } // namespace
 
-scan::EventTables detail::TextTraceParser::tables() const {
-  scan::EventTables T;
-  if (Result) {
-    T.SawProcs = true;
-    T.NumProcs = Result->numProcs();
-    T.NumRegions = Result->numRegions();
-    T.NumActivities = Result->numActivities();
-  }
-  return T;
-}
-
 bool detail::TextTraceParser::nextLineIsEvent() const {
-  size_t End = lineEnd(Text, Pos);
+  // The first substantive line is the magic line, never an event.
   std::string_view Line =
-      scan::skipLeadingSpace(Text.substr(Pos, End - Pos));
-  if (Line.empty() || Line.front() == '#')
-    return false;
-  if (!SawMagic)
-    return false; // The first substantive line is the magic line.
-  return !scan::isDirectiveLine(Line);
+      scan::skipLeadingSpace(Text.substr(Pos, lineEnd(Text, Pos) - Pos));
+  return Grammar.sawMagic() && !Line.empty() && Line.front() != '#' &&
+         !scan::isDirectiveLine(Line);
 }
 
 Error detail::TextTraceParser::consumeLine() {
-  const ParseLimits &Limits = Options.Limits;
   size_t End = lineEnd(Text, Pos);
-  std::string_view RawLine = Text.substr(Pos, End - Pos);
   size_t LineOffset = Pos;
-  ++LineNo;
   if (End == Text.size())
     Done = true;
   else
     Pos = End + 1;
-
-  auto fail = [&](ErrorCode Code, const char *What) {
-    return makeParseError(Code, LineNo, LineOffset, "trace line %zu: %s",
-                          LineNo, What);
-  };
-  auto failNumber = [&](Error E) {
-    return makeParseError(ErrorCode::BadNumber, LineNo, LineOffset,
-                          "trace line %zu: %s", LineNo, E.message().c_str());
-  };
-
-  if (RawLine.size() > Limits.MaxLineBytes)
-    return fail(ErrorCode::LimitExceeded, "line exceeds the length limit");
-  std::string_view Line = scan::skipLeadingSpace(RawLine);
-  if (Line.empty() || Line.front() == '#')
-    return Error::success();
-  if (SawMagic && !scan::isDirectiveLine(Line))
-    return consumeEvent(Line, LineOffset);
-  std::string_view Fields[scan::MaxFields];
-  size_t NumFields = scan::splitFields(Line, Fields);
-
-  if (!SawMagic) {
-    if (NumFields == 2 && Fields[0] == "LIMATRACE" && Fields[1] != "1")
-      return fail(ErrorCode::UnsupportedVersion,
-                  "unsupported LIMATRACE version");
-    if (NumFields != 2 || Fields[0] != "LIMATRACE" || Fields[1] != "1")
-      return fail(ErrorCode::BadMagic, "expected header 'LIMATRACE 1'");
-    SawMagic = true;
-    return Error::success();
-  }
-
-  if (Fields[0] == "procs") {
-    if (Result)
-      return fail(ErrorCode::DuplicateDeclaration, "duplicate 'procs' line");
-    if (NumFields != 2)
-      return fail(ErrorCode::MalformedRecord, "'procs' takes one argument");
-    auto CountOrErr = scan::scanUnsigned(Fields[1]);
-    if (!CountOrErr)
-      return failNumber(CountOrErr.takeError());
-    if (*CountOrErr == 0 || *CountOrErr > (1u << 20))
-      return fail(ErrorCode::ValueOutOfRange, "processor count out of range");
-    if (*CountOrErr > Limits.MaxProcs)
-      return fail(ErrorCode::LimitExceeded,
-                  "processor count exceeds the limit");
-    AllocBytes += *CountOrErr * sizeof(std::vector<Event>);
-    if (AllocBytes > Limits.MaxAllocBytes)
-      return fail(ErrorCode::LimitExceeded,
-                  "processor table exceeds the allocation cap");
-    Result.emplace(static_cast<unsigned>(*CountOrErr));
-    return Error::success();
-  }
-
-  // The remaining directives, "region" and "activity", declare names.
-  if (!Result)
-    return fail(ErrorCode::MissingSection,
-                "'procs' must precede declarations");
-  if (NumFields < 3)
-    return fail(ErrorCode::MalformedRecord,
-                "declaration needs an id and a name");
-  auto IdOrErr = scan::scanUnsigned(Fields[1]);
-  if (!IdOrErr)
-    return failNumber(IdOrErr.takeError());
-  bool IsRegion = Fields[0] == "region";
-  size_t Declared =
-      IsRegion ? Result->numRegions() : Result->numActivities();
-  if (*IdOrErr != Declared)
-    return fail(ErrorCode::MalformedRecord,
-                "declaration ids must be dense and in order");
-  if (Declared >= (IsRegion ? Limits.MaxRegions : Limits.MaxActivities))
-    return fail(ErrorCode::LimitExceeded,
-                "declaration count exceeds the limit");
-  if (Fields[2].size() > Limits.MaxNameBytes)
-    return fail(ErrorCode::LimitExceeded,
-                "declaration name exceeds the length limit");
-  AllocBytes += scan::nameAllocCost(Fields[2].size());
-  if (AllocBytes > Limits.MaxAllocBytes)
-    return fail(ErrorCode::LimitExceeded,
-                "name tables exceed the allocation cap");
-  if ((IsRegion ? Result->findRegion(Fields[2])
-                : Result->findActivity(Fields[2])) != Trace::InvalidId)
-    return fail(ErrorCode::DuplicateDeclaration,
-                IsRegion ? "duplicate region name"
-                         : "duplicate activity name");
-  // Register immediately so events can refer to it.
-  if (IsRegion)
-    Result->addRegion(std::string(Fields[2]));
-  else
-    Result->addActivity(std::string(Fields[2]));
-  return Error::success();
-}
-
-Error detail::TextTraceParser::consumeEvent(std::string_view Line,
-                                           size_t LineOffset) {
-  // In lenient mode a malformed record is dropped instead of aborting
-  // the parse.  Attempted records are counted locally and flushed to
-  // Options.Report on exit.
-  const ParseLimits &Limits = Options.Limits;
-  ++Records;
-  Event E;
-  Error RecordErr =
-      scan::parseEventRecord(Line, tables(), LineNo, LineOffset, E);
-  if (RecordErr) {
-    // 'procs' missing is a header problem, not a record problem:
-    // nothing later can succeed, so it stays fatal in lenient mode.
-    ParseError PE = RecordErr.toParseError();
-    if (PE.Code != ErrorCode::MissingSection && Options.dropRecord(PE))
-      return Error::success();
-    return Error::fromParse(std::move(PE));
-  }
-  auto fail = [&](const char *What) {
-    return makeParseError(ErrorCode::LimitExceeded, LineNo, LineOffset,
-                          "trace line %zu: %s", LineNo, What);
-  };
-  if (++TotalEvents > Limits.MaxEvents)
-    return fail("event count exceeds the limit");
-  AllocBytes += sizeof(Event);
-  if (AllocBytes > Limits.MaxAllocBytes)
-    return fail("event storage exceeds the allocation cap");
-  Result->append(E);
-  return Error::success();
+  return Grammar.line(Text.substr(LineOffset, End - LineOffset), LineOffset);
 }
 
 Error detail::TextTraceParser::parseAll() {
   while (!Done)
     if (auto Err = consumeLine()) {
-      flushRecords();
+      Grammar.flushRecords();
       return Err;
     }
-  flushRecords();
+  Grammar.flushRecords();
   return Error::success();
 }
 
 Error detail::TextTraceParser::parsePrologue() {
   while (!Done && !nextLineIsEvent())
     if (auto Err = consumeLine()) {
-      flushRecords();
+      Grammar.flushRecords();
       return Err;
     }
-  flushRecords();
+  Grammar.flushRecords();
   return Error::success();
 }
 
 Expected<Trace> detail::TextTraceParser::take() {
-  flushRecords();
-  if (!SawMagic)
-    return makeCodedError(ErrorCode::BadMagic,
-                          "trace: missing 'LIMATRACE 1' header");
-  if (!Result)
-    return makeCodedError(ErrorCode::MissingSection,
-                          "trace: missing 'procs' line");
-  LIMA_METRIC_COUNT("lima.parse.text.events_total", TotalEvents);
-  LIMA_METRIC_COUNT("lima.parse.text.lines_total", LineNo);
-  return std::move(*Result);
+  Grammar.flushRecords();
+  if (auto Err = Grammar.finish())
+    return Err;
+  LIMA_METRIC_COUNT("lima.parse.text.events_total", Grammar.totalEvents());
+  LIMA_METRIC_COUNT("lima.parse.text.lines_total", Grammar.lineNumber());
+  Trace &T = trace();
+  T.setNames(std::move(Grammar.regions()), std::move(Grammar.activities()));
+  return std::move(T);
 }
 
 Expected<Trace> trace::parseTraceText(std::string_view Text,

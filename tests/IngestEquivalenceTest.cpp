@@ -14,13 +14,14 @@
 // test that licenses every future optimization of the fast path.
 //
 // Also pins the tightened ParseLimits allocation accounting to its
-// documented formula.
+// documented formula, in batch and in the stream.
 //
 //===----------------------------------------------------------------------===//
 
 #include "support/FileUtils.h"
 #include "support/ParseLimits.h"
 #include "trace/ParallelParse.h"
+#include "trace/StreamParser.h"
 #include "trace/TextScan.h"
 #include "trace/TraceIO.h"
 #include "gtest/gtest.h"
@@ -32,6 +33,21 @@ using trace::Event;
 using trace::Trace;
 
 namespace {
+
+/// The structured error of a parse expected to fail.
+ParseError parseError(Expected<Trace> Result) {
+  EXPECT_FALSE(static_cast<bool>(Result));
+  return Result ? ParseError{} : Result.takeError().toParseError();
+}
+
+/// Runs \p Text through a StreamParser in one chunk.
+Error streamParse(std::string_view Text, const ParseOptions &Options,
+                  std::vector<Event> &Events) {
+  trace::StreamParser Stream(Options);
+  if (auto Err = Stream.feed(Text, Events))
+    return Err;
+  return Stream.finish(Events);
+}
 
 /// One parse outcome, flattened for comparison.
 struct Outcome {
@@ -221,10 +237,10 @@ TEST(IngestEquivalence, AllocAccountingPinned) {
   const std::string Text = "LIMATRACE 1\nprocs 2\nregion 0 ab\n"
                            "region 1 " + LongName + "\n"
                            "re 0 1.0 0\nrx 0 2.0 0\n";
-  const uint64_t Accounted = 2 * sizeof(std::vector<Event>) +
-                             trace::scan::nameAllocCost(2) +
-                             trace::scan::nameAllocCost(100) +
-                             2 * sizeof(Event);
+  const uint64_t Header = 2 * sizeof(std::vector<Event>) +
+                          trace::scan::nameAllocCost(2) +
+                          trace::scan::nameAllocCost(100);
+  const uint64_t Accounted = Header + 2 * sizeof(Event);
   // Short names cost only the string header under SSO...
   EXPECT_EQ(trace::scan::nameAllocCost(2), sizeof(std::string));
   // ...and long names additionally their NUL-terminated buffer.
@@ -239,6 +255,37 @@ TEST(IngestEquivalence, AllocAccountingPinned) {
   Expected<Trace> Fail = trace::parseTraceText(Text, OneLess);
   ASSERT_FALSE(static_cast<bool>(Fail));
   EXPECT_EQ(Fail.takeError().toParseError().Code, ErrorCode::LimitExceeded);
+
+  // The stream shares the header charges: one byte below them, it stops
+  // where batch does, at the second declaration.
+  ParseOptions BelowHeader;
+  BelowHeader.Limits.MaxAllocBytes = Header - 1;
+  ParseError Batch = parseError(trace::parseTraceText(Text, BelowHeader));
+  EXPECT_EQ(Batch.Code, ErrorCode::LimitExceeded);
+  EXPECT_EQ(Batch.Line, 4u);
+  EXPECT_EQ(Batch.Msg, "trace line 4: name tables exceed the allocation cap");
+  std::vector<Event> Events;
+  Error StreamErr = streamParse(Text, BelowHeader, Events);
+  ASSERT_TRUE(static_cast<bool>(StreamErr));
+  ParseError Streamed = StreamErr.toParseError();
+  EXPECT_EQ(Streamed.Code, Batch.Code);
+  EXPECT_EQ(Streamed.Line, Batch.Line);
+  EXPECT_EQ(Streamed.Offset, Batch.Offset);
+  EXPECT_EQ(Streamed.Msg, Batch.Msg);
+
+  // The one intended difference: the stream keeps no events, so it
+  // charges no event storage.  At exactly the header charge it parses
+  // both events, while batch stops at the first one.
+  ParseOptions AtHeader;
+  AtHeader.Limits.MaxAllocBytes = Header;
+  Batch = parseError(trace::parseTraceText(Text, AtHeader));
+  EXPECT_EQ(Batch.Code, ErrorCode::LimitExceeded);
+  EXPECT_EQ(Batch.Line, 5u);
+  EXPECT_EQ(Batch.Msg,
+            "trace line 5: event storage exceeds the allocation cap");
+  Events.clear();
+  ASSERT_FALSE(static_cast<bool>(streamParse(Text, AtHeader, Events)));
+  EXPECT_EQ(Events.size(), 2u);
 }
 
 } // namespace

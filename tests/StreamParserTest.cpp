@@ -7,6 +7,7 @@
 #include "trace/StreamParser.h"
 #include "support/FileUtils.h"
 #include "support/MappedFile.h"
+#include "support/Metrics.h"
 #include "trace/TraceIO.h"
 #include "TestHelpers.h"
 #include <cstdio>
@@ -31,10 +32,12 @@ const char *SampleTrace = "LIMATRACE 1\n"
                           "ae 1 2.0 0\n"
                           "rx 1 2.0 0\n";
 
-/// Feeds \p Text in chunks of \p ChunkSize bytes and returns all events.
+/// Feeds \p Text in chunks of \p ChunkSize bytes and returns all events
+/// (and, through \p EventsParsed, the parser's eventsParsed()).
 Expected<std::vector<Event>> parseChunked(std::string_view Text,
                                           size_t ChunkSize,
-                                          ParseOptions Options = {}) {
+                                          ParseOptions Options = {},
+                                          uint64_t *EventsParsed = nullptr) {
   StreamParser P(Options);
   std::vector<Event> Events;
   for (size_t I = 0; I < Text.size(); I += ChunkSize) {
@@ -43,6 +46,8 @@ Expected<std::vector<Event>> parseChunked(std::string_view Text,
   }
   if (auto Err = P.finish(Events))
     return Err;
+  if (EventsParsed)
+    *EventsParsed = P.eventsParsed();
   return Events;
 }
 
@@ -50,14 +55,24 @@ Expected<std::vector<Event>> parseChunked(std::string_view Text,
 
 TEST(StreamParserTest, MatchesBatchParserAtAnyChunkSize) {
   Trace Whole = cantFail(parseTraceText(SampleTrace));
+  // lima.stream.events_total is added once per feed()/finish() call and
+  // must still count exactly the events parsed.
+  metrics::Counter &Emitted = metrics::counter("lima.stream.events_total");
+  metrics::setEnabled(true);
   for (size_t Chunk : {size_t(1), size_t(7), size_t(64), size_t(4096)}) {
-    auto EventsOrErr = parseChunked(SampleTrace, Chunk);
+    const uint64_t Before = Emitted.value();
+    uint64_t Parsed = 0;
+    auto EventsOrErr = parseChunked(SampleTrace, Chunk, {}, &Parsed);
     ASSERT_TRUE(static_cast<bool>(EventsOrErr)) << "chunk " << Chunk;
     size_t Total = 0;
     for (unsigned P = 0; P != Whole.numProcs(); ++P)
       Total += Whole.events(P).size();
     EXPECT_EQ(EventsOrErr->size(), Total) << "chunk " << Chunk;
+    if (LIMA_TELEMETRY) {
+      EXPECT_EQ(Emitted.value() - Before, Parsed) << "chunk " << Chunk;
+    }
   }
+  metrics::setEnabled(false);
 }
 
 TEST(StreamParserTest, HeaderTablesExposed) {
